@@ -1,5 +1,6 @@
 #include "metrics/curves.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <iomanip>
@@ -76,7 +77,8 @@ void write_curves_csv(std::ostream& out, const std::vector<std::string>& names,
   for (const auto& n : names) out << ',' << n;
   out << '\n';
   const std::size_t rows = curves.front().size();
-  for (const auto& c : curves) assert(c.size() == rows);
+  assert(std::all_of(curves.begin(), curves.end(),
+                     [rows](const LearningCurve& c) { return c.size() == rows; }));
   for (std::size_t r = 0; r < rows; ++r) {
     out << curves.front().points()[r].x;
     for (const auto& c : curves) out << ',' << c.points()[r].y;

@@ -133,6 +133,12 @@ Digest sha256(const std::string& data) {
 
 Digest hmac_sha256(const std::vector<std::uint8_t>& key,
                    const std::uint8_t* data, std::size_t len) {
+  return hmac_sha256(key, {data, len}, {});
+}
+
+Digest hmac_sha256(const std::vector<std::uint8_t>& key,
+                   std::span<const std::uint8_t> a,
+                   std::span<const std::uint8_t> b) {
   std::array<std::uint8_t, 64> k{};
   if (key.size() > 64) {
     const Digest kd = sha256(key);
@@ -150,7 +156,8 @@ Digest hmac_sha256(const std::vector<std::uint8_t>& key,
 
   Sha256 inner;
   inner.update(ipad.data(), ipad.size());
-  inner.update(data, len);
+  inner.update(a.data(), a.size());
+  inner.update(b.data(), b.size());
   const Digest inner_digest = inner.finish();
 
   Sha256 outer;

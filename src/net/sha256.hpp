@@ -9,6 +9,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,10 @@ Digest hmac_sha256(const std::vector<std::uint8_t>& key,
                    const std::uint8_t* data, std::size_t len);
 Digest hmac_sha256(const std::vector<std::uint8_t>& key,
                    const std::vector<std::uint8_t>& data);
+/// HMAC-SHA256 over the concatenation a || b, without materializing it.
+Digest hmac_sha256(const std::vector<std::uint8_t>& key,
+                   std::span<const std::uint8_t> a,
+                   std::span<const std::uint8_t> b);
 
 /// Constant-time digest comparison (no early exit on mismatch).
 bool digest_equal(const Digest& a, const Digest& b);

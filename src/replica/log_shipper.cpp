@@ -65,6 +65,11 @@ LogShipper::LogShipper(core::Server& server, store::DurableStore& store,
           "crowdml_repl_auth_failed_total",
           "Replication-plane frames dropped for a missing or invalid "
           "HMAC tag",
+          obs::Provenance::kTransportEvent)),
+      wal_bytes_read_(registry_of(opts_).counter(
+          "crowdml_repl_wal_bytes_read_total",
+          "WAL segment bytes the follower sessions' tail cursors read "
+          "(counted per session)",
           obs::Provenance::kTransportEvent)) {
   auto listener = net::TcpListener::bind(opts_.bind_address, opts_.port);
   if (!listener)
@@ -378,6 +383,9 @@ void LogShipper::session_loop(std::uint64_t session_id,
       }
     }
 
+    // The session's cursor into the log: it opens cold here and after a
+    // snapshot, and otherwise reads only what each commit appended.
+    store::WalTailReader reader(store_.dir(), cursor, &wal_bytes_read_);
     while (alive && !stopping_.load() && !fenced_.load()) {
       if (!maybe_heartbeat()) break;
       std::uint64_t watermark;
@@ -385,9 +393,8 @@ void LogShipper::session_loop(std::uint64_t session_id,
         std::lock_guard<std::mutex> lock(watermark_mu_);
         watermark = watermark_;
       }
-      const ShipBatch batch =
-          next_ship_batch(store_.dir(), cursor, watermark,
-                          opts_.batch_max_records, opts_.batch_max_bytes);
+      store::WalTail batch = reader.next(
+          watermark, opts_.batch_max_records, opts_.batch_max_bytes);
 
       if (batch.gap) {
         // Compaction already pruned cursor+1: ship the full state in
@@ -416,7 +423,7 @@ void LogShipper::session_loop(std::uint64_t session_id,
                              {{"follower_id", follower_id},
                               {"version", cp.version},
                               {"bytes", blob->size()}});
-        cursor = cp.version;
+        reader.seek(cp.version);
       } else if (batch.records.empty()) {
         // Caught up: first a short socket poll for the refusal ack a
         // deposed leader would otherwise never read (nothing solicited
@@ -426,7 +433,7 @@ void LogShipper::session_loop(std::uint64_t session_id,
         if (!drain_acks(1)) break;
         std::unique_lock<std::mutex> lock(watermark_mu_);
         watermark_cv_.wait_for(lock, std::chrono::milliseconds(20), [&] {
-          return stopping_.load() || watermark_ > cursor;
+          return stopping_.load() || watermark_ > reader.cursor();
         });
         continue;
       } else {
@@ -436,14 +443,13 @@ void LogShipper::session_loop(std::uint64_t session_id,
         append.want_ack = want_ack;
         append.instance_id = opts_.instance_id;
         append.records.reserve(batch.records.size());
-        for (const auto& rec : batch.records)
-          append.records.push_back({rec.seq, rec.payload});
+        for (auto& rec : batch.records)
+          append.records.push_back({rec.seq, std::move(rec.payload)});
         if (!conn.send_frame(net::encode_frame(
                 net::MessageType::kReplAppend,
                 seal_repl_payload(opts_.key, net::MessageType::kReplAppend,
                                   append.serialize()))))
           break;
-        cursor = batch.records.back().seq;
         records_shipped_ += static_cast<long long>(batch.records.size());
         if (want_ack) {
           auto ack_frame = conn.recv_frame();
@@ -476,7 +482,7 @@ void LogShipper::session_loop(std::uint64_t session_id,
         } else {
           // kNone: record the shipped position so lag is still reported;
           // this is *not* a durability claim and kNone never gates acks.
-          tracker_.ack(session_id, cursor);
+          tracker_.ack(session_id, reader.cursor());
         }
       }
 

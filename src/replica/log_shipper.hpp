@@ -2,10 +2,15 @@
 // dedicated replication port and streams the durable store's log to each
 // of them — segments first (the disk is the replication buffer; there is
 // no in-memory queue to overflow), then the live tail as group commits
-// land. Every frame carries the leader's epoch; a hello or ack bearing a
-// higher epoch means this leader has been superseded and it fences
-// itself: no further quorum waits succeed, so no checkin acked here can
-// contradict the new leader's history. See docs/REPLICATION.md.
+// land. Each session reads through its own store::WalTailReader: opened
+// cold at the follower's hello position (and again after a snapshot), it
+// then preads only what each commit appended, so a batch costs what it
+// ships rather than a rescan of the active segment. Per session the
+// shipper holds one batch plus one bounded read buffer. Every frame
+// carries the leader's epoch; a hello or ack bearing a higher epoch
+// means this leader has been superseded and it fences itself: no further
+// quorum waits succeed, so no checkin acked here can contradict the new
+// leader's history. See docs/REPLICATION.md.
 #pragma once
 
 #include <atomic>
@@ -174,6 +179,7 @@ class LogShipper {
   obs::Counter& followers_connected_;
   obs::Counter& heartbeats_sent_;
   obs::Counter& auth_failed_;
+  obs::Counter& wal_bytes_read_;
 };
 
 }  // namespace crowdml::replica

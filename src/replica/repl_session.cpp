@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <span>
 #include <stdexcept>
 
 #include "net/sha256.hpp"
@@ -12,12 +13,9 @@ namespace crowdml::replica {
 namespace {
 
 net::Digest repl_tag(const ReplKey& key, net::MessageType type,
-                     const net::Bytes& payload) {
-  net::Bytes mac_input;
-  mac_input.reserve(payload.size() + 1);
-  mac_input.push_back(static_cast<std::uint8_t>(type));
-  mac_input.insert(mac_input.end(), payload.begin(), payload.end());
-  return net::hmac_sha256(key, mac_input);
+                     std::span<const std::uint8_t> payload) {
+  const std::uint8_t type_byte = static_cast<std::uint8_t>(type);
+  return net::hmac_sha256(key, {&type_byte, 1}, payload);
 }
 
 int hex_nibble(char c) {
@@ -30,12 +28,11 @@ int hex_nibble(char c) {
 }  // namespace
 
 net::Bytes seal_repl_payload(const ReplKey& key, net::MessageType type,
-                             const net::Bytes& payload) {
+                             net::Bytes payload) {
   if (key.empty()) return payload;
   const net::Digest tag = repl_tag(key, type, payload);
-  net::Bytes out = payload;
-  out.insert(out.end(), tag.begin(), tag.end());
-  return out;
+  payload.insert(payload.end(), tag.begin(), tag.end());
+  return payload;
 }
 
 std::optional<net::Bytes> open_repl_payload(const ReplKey& key,
@@ -43,14 +40,15 @@ std::optional<net::Bytes> open_repl_payload(const ReplKey& key,
                                             const net::Bytes& payload) {
   if (key.empty()) return payload;
   if (payload.size() < kReplTagSize) return std::nullopt;
-  const net::Bytes body(payload.begin(),
-                        payload.end() - static_cast<long>(kReplTagSize));
+  const std::size_t body_size = payload.size() - kReplTagSize;
   net::Digest stated{};
-  std::copy(payload.end() - static_cast<long>(kReplTagSize), payload.end(),
+  std::copy(payload.begin() + static_cast<long>(body_size), payload.end(),
             stated.begin());
-  if (!net::digest_equal(stated, repl_tag(key, type, body)))
+  if (!net::digest_equal(stated,
+                         repl_tag(key, type, {payload.data(), body_size})))
     return std::nullopt;
-  return body;
+  return net::Bytes(payload.begin(),
+                    payload.begin() + static_cast<long>(body_size));
 }
 
 ReplKey load_repl_key_file(const std::string& path) {
@@ -94,26 +92,6 @@ std::optional<ReplAckMode> parse_repl_ack_mode(const std::string& name) {
   if (name == "async") return ReplAckMode::kAsync;
   if (name == "quorum") return ReplAckMode::kQuorum;
   return std::nullopt;
-}
-
-ShipBatch next_ship_batch(const std::string& wal_dir, std::uint64_t cursor,
-                          std::uint64_t watermark, std::size_t max_records,
-                          std::size_t max_bytes) {
-  ShipBatch batch;
-  if (cursor >= watermark) return batch;
-  bool gap = false;
-  std::vector<store::WalRecord> records =
-      store::read_wal_records(wal_dir, cursor, max_records, &gap);
-  batch.gap = gap;
-  if (gap) return batch;
-  std::size_t bytes = 0;
-  for (auto& rec : records) {
-    if (rec.seq > watermark) break;  // possibly mid-commit; not ours yet
-    bytes += rec.payload.size();
-    if (!batch.records.empty() && bytes > max_bytes) break;
-    batch.records.push_back(std::move(rec));
-  }
-  return batch;
 }
 
 void AckTracker::join(std::uint64_t session) {

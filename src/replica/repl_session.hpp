@@ -1,6 +1,7 @@
-// Shared pieces of the replication plane: ack-mode parsing, the
-// shipper's batch reader over the WAL, and the per-follower ack tracker
-// that backs quorum waits. See docs/REPLICATION.md.
+// Shared pieces of the replication plane: ack-mode parsing, frame
+// sealing, and the per-follower ack tracker that backs quorum waits.
+// The shipper reads the WAL through store::WalTailReader. See
+// docs/REPLICATION.md.
 #pragma once
 
 #include <condition_variable>
@@ -13,7 +14,6 @@
 #include <vector>
 
 #include "net/messages.hpp"
-#include "store/wal.hpp"
 
 namespace crowdml::replica {
 
@@ -40,9 +40,9 @@ using ReplKey = std::vector<std::uint8_t>;
 /// Number of tag bytes a sealed payload carries.
 inline constexpr std::size_t kReplTagSize = 32;
 
-/// Append the authentication tag (no-op when `key` is empty).
+/// Append the authentication tag in place (no-op when `key` is empty).
 net::Bytes seal_repl_payload(const ReplKey& key, net::MessageType type,
-                             const net::Bytes& payload);
+                             net::Bytes payload);
 
 /// Verify and strip the tag. nullopt when the tag is missing or wrong —
 /// the caller must drop the frame (never fence on it: an attacker who
@@ -55,24 +55,6 @@ std::optional<net::Bytes> open_repl_payload(const ReplKey& key,
 /// Load a shared key from a file of hex digits (whitespace ignored).
 /// Throws std::runtime_error on a missing file or malformed hex.
 ReplKey load_repl_key_file(const std::string& path);
-
-/// One shipper read: WAL records after the follower's cursor, or the
-/// discovery that the cursor predates the oldest surviving record
-/// (compaction pruned it) and a snapshot must be sent instead.
-struct ShipBatch {
-  std::vector<store::WalRecord> records;
-  bool gap = false;
-};
-
-/// Read the next batch to ship from `wal_dir`: records with
-/// cursor < seq <= watermark, at most `max_records` of them and stopping
-/// at the first record that would push the batch past `max_bytes`
-/// (always keeping at least one so progress is guaranteed). The
-/// watermark is the leader's committed position — records past it may
-/// still be mid-group-commit and must not ship yet.
-ShipBatch next_ship_batch(const std::string& wal_dir, std::uint64_t cursor,
-                          std::uint64_t watermark, std::size_t max_records,
-                          std::size_t max_bytes);
 
 /// Tracks each live follower session's durably-acked WAL position and
 /// lets the applier thread block until a quorum of them passes a seq.

@@ -21,20 +21,22 @@ constexpr std::uint32_t kWalMagic = 0x4C575243;  // "CRWL" little-endian
 constexpr std::size_t kWalHeaderSize = 4 + 8 + 4;  // magic + seq + len
 constexpr std::size_t kWalTrailerSize = 4;         // crc32
 
-std::uint32_t read_u32(const net::Bytes& b, std::size_t off) {
+std::uint32_t read_u32(const std::uint8_t* p) {
   std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(b[off + static_cast<std::size_t>(i)])
-         << (8 * i);
+  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
   return v;
 }
 
-std::uint64_t read_u64(const net::Bytes& b, std::size_t off) {
+std::uint64_t read_u64(const std::uint8_t* p) {
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(b[off + static_cast<std::size_t>(i)])
-         << (8 * i);
+  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
   return v;
+}
+
+/// CRC of a complete record at `p` with payload length `len` matches its
+/// trailer.
+bool record_crc_ok(const std::uint8_t* p, std::uint32_t len) {
+  return read_u32(p + kWalHeaderSize + len) == net::crc32(p + 4, 8 + 4 + len);
 }
 
 std::string segment_name(std::uint64_t first_seq) {
@@ -42,6 +44,13 @@ std::string segment_name(std::uint64_t first_seq) {
   std::snprintf(buf, sizeof(buf), "wal-%020llu.log",
                 static_cast<unsigned long long>(first_seq));
   return buf;
+}
+
+/// True for `wal-<first_seq>.log`, the only files a log directory's
+/// readers consider.
+bool is_segment_name(const std::string& name) {
+  return name.rfind("wal-", 0) == 0 && name.size() > 8 &&
+         name.compare(name.size() - 4, 4, ".log") == 0;
 }
 
 std::string errno_message(const std::string& what) {
@@ -58,7 +67,7 @@ obs::MetricsRegistry& registry_of(const WalOptions& opts) {
 /// must be treated as mid-file corruption.
 bool later_record_decodes(const net::Bytes& bytes, std::size_t from) {
   for (std::size_t probe = from; probe + kWalHeaderSize + kWalTrailerSize <= bytes.size(); ++probe) {
-    if (read_u32(bytes, probe) != kWalMagic) continue;
+    if (read_u32(bytes.data() + probe) != kWalMagic) continue;
     std::size_t off = probe;
     try {
       (void)decode_wal_record(bytes, &off);
@@ -119,15 +128,14 @@ WalRecord decode_wal_record(const net::Bytes& buf, std::size_t* offset) {
   if (off > buf.size()) throw WalError("wal offset out of range");
   const std::size_t avail = buf.size() - off;
   if (avail < kWalHeaderSize) throw WalError("wal record header truncated");
-  if (read_u32(buf, off) != kWalMagic) throw WalError("bad wal record magic");
-  const std::uint64_t seq = read_u64(buf, off + 4);
-  const std::uint32_t len = read_u32(buf, off + 12);
+  const std::uint8_t* p = buf.data() + off;
+  if (read_u32(p) != kWalMagic) throw WalError("bad wal record magic");
+  const std::uint64_t seq = read_u64(p + 4);
+  const std::uint32_t len = read_u32(p + 12);
   if (len > net::kMaxFieldLength) throw WalError("wal record length too large");
   if (avail < kWalHeaderSize + len + kWalTrailerSize)
     throw WalError("wal record body truncated");
-  const std::uint32_t stated = read_u32(buf, off + kWalHeaderSize + len);
-  const std::uint32_t computed = net::crc32(buf.data() + off + 4, 8 + 4 + len);
-  if (stated != computed) throw WalError("wal record crc mismatch");
+  if (!record_crc_ok(p, len)) throw WalError("wal record crc mismatch");
   WalRecord rec;
   rec.seq = seq;
   rec.payload.assign(buf.begin() + static_cast<std::ptrdiff_t>(off + kWalHeaderSize),
@@ -136,73 +144,136 @@ WalRecord decode_wal_record(const net::Bytes& buf, std::size_t* offset) {
   return rec;
 }
 
-std::vector<WalRecord> read_wal_records(const std::string& dir,
-                                        std::uint64_t from_seq,
-                                        std::size_t max_records, bool* gap) {
-  if (gap) *gap = false;
-  std::vector<WalRecord> out;
-  if (max_records == 0) return out;
+WalTailReader::WalTailReader(std::string dir, std::uint64_t cursor,
+                             obs::Counter* bytes_read)
+    : dir_(std::move(dir)), bytes_read_(bytes_read), cursor_(cursor) {}
 
-  std::vector<std::string> files;
-  {
-    std::error_code ec;
-    std::filesystem::directory_iterator it(dir, ec), end;
-    if (ec) return out;
-    for (; it != end; it.increment(ec)) {
-      if (ec) return out;
-      const std::string name = it->path().filename().string();
-      if (name.rfind("wal-", 0) == 0 && name.size() > 8 &&
-          name.compare(name.size() - 4, 4, ".log") == 0)
-        files.push_back(it->path().string());
-    }
-  }
-  // Zero-padded names sort lexically in seq order, and each name carries
-  // its segment's first seq — whole segments at or below the cursor are
-  // skipped without reading them.
-  std::sort(files.begin(), files.end());
-  std::size_t start = 0;
-  for (std::size_t i = 1; i < files.size(); ++i) {
-    const std::string name = std::filesystem::path(files[i]).filename().string();
-    const std::uint64_t first =
-        std::strtoull(name.c_str() + 4, nullptr, 10);
-    if (first <= from_seq + 1) start = i;
-  }
+WalTailReader::~WalTailReader() { close_segment(); }
 
-  bool decoded_any = false;
-  for (std::size_t i = start; i < files.size(); ++i) {
-    const std::string& path = files[i];
-    net::Bytes bytes;
-    {
-      std::FILE* f = std::fopen(path.c_str(), "rb");
-      if (!f) continue;  // compacted away between listing and open
-      std::fseek(f, 0, SEEK_END);
-      const long size = std::ftell(f);
-      std::fseek(f, 0, SEEK_SET);
-      bytes.resize(size > 0 ? static_cast<std::size_t>(size) : 0);
-      if (!bytes.empty() &&
-          std::fread(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
-        std::fclose(f);
-        return out;
-      }
-      std::fclose(f);
-    }
-    std::size_t offset = 0;
-    while (offset < bytes.size()) {
-      WalRecord rec;
-      try {
-        rec = decode_wal_record(bytes, &offset);
-      } catch (const WalError&) {
-        return out;  // a write in progress (or a torn tail): stop here
-      }
-      if (!decoded_any) {
-        decoded_any = true;
-        if (gap && rec.seq > from_seq + 1) *gap = true;
-      }
-      if (rec.seq <= from_seq) continue;
-      out.push_back(std::move(rec));
-      if (out.size() >= max_records) return out;
-    }
+void WalTailReader::seek(std::uint64_t cursor) {
+  close_segment();
+  cursor_ = cursor;
+}
+
+void WalTailReader::close_segment() {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+  cold_ = true;
+}
+
+int WalTailReader::open_segment(std::uint64_t first_seq) {
+  const std::string path = dir_ + "/" + segment_name(first_seq);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return errno;
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = fd;
+  segment_first_ = first_seq;
+  offset_ = 0;
+  return 0;
+}
+
+bool WalTailReader::open_cold() {
+  std::vector<std::uint64_t> firsts;
+  std::error_code ec;
+  std::filesystem::directory_iterator it(dir_, ec), end;
+  if (ec) return false;
+  for (; it != end; it.increment(ec)) {
+    if (ec) return false;
+    const std::string name = it->path().filename().string();
+    if (is_segment_name(name))
+      firsts.push_back(std::strtoull(name.c_str() + 4, nullptr, 10));
   }
+  if (firsts.empty()) return false;
+  // Each name carries its segment's first seq: the newest segment that
+  // starts at or below cursor + 1 holds it. When none does, open the
+  // oldest, whose first record then reports the gap.
+  std::sort(firsts.begin(), firsts.end());
+  std::uint64_t pick = firsts.front();
+  for (const std::uint64_t first : firsts)
+    if (first <= cursor_ + 1) pick = first;
+  // A segment compacted away between listing and open: retry next call.
+  return open_segment(pick) == 0;
+}
+
+bool WalTailReader::fill(std::uint64_t pos, std::size_t need) {
+  if (pos + need <= buf_pos_ + buf_len_) return true;
+  // Drop consumed bytes, then read up to a full chunk (or the one
+  // outsized record) past them.
+  const auto keep = static_cast<std::size_t>(buf_pos_ + buf_len_ - pos);
+  if (keep > 0) std::memmove(buf_.data(), buf_.data() + (pos - buf_pos_), keep);
+  buf_pos_ = pos;
+  buf_len_ = keep;
+  const std::size_t target = std::max(need, kChunkBytes);
+  if (buf_.size() < target) buf_.resize(target);
+  while (buf_len_ < need) {
+    const ssize_t n = ::pread(fd_, buf_.data() + buf_len_, target - buf_len_,
+                              static_cast<off_t>(buf_pos_ + buf_len_));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    buf_len_ += static_cast<std::size_t>(n);
+    if (bytes_read_) *bytes_read_ += n;
+  }
+  return true;
+}
+
+WalTail WalTailReader::next(std::uint64_t watermark, std::size_t max_records,
+                            std::size_t max_bytes) {
+  WalTail out;
+  if (cursor_ >= watermark || max_records == 0) return out;
+  if (fd_ < 0 && !open_cold()) return out;
+  // Bytes are re-read from offset_ on every call rather than kept: a
+  // failed append rolls its partial record back with ftruncate, so bytes
+  // past the last verified record may not survive.
+  buf_pos_ = offset_;
+  buf_len_ = 0;
+  std::size_t payload_bytes = 0;
+  std::uint64_t pos = offset_;
+  while (out.records.size() < max_records) {
+    if (!fill(pos, kWalHeaderSize)) {
+      // A partial header is an append in progress: wait for it. At the
+      // clean end of a segment that lacks committed records, the
+      // segment is sealed and its successor starts at cursor + 1.
+      if (buf_len_ != 0 || cursor_ >= watermark ||
+          segment_first_ == cursor_ + 1)
+        break;
+      if (const int err = open_segment(cursor_ + 1); err != 0) {
+        // ENOENT: compaction deleted the successor (anything else, e.g.
+        // out of fds, is retried on the next call).
+        out.gap = err == ENOENT && out.records.empty();
+        break;
+      }
+      pos = 0;
+      buf_pos_ = 0;
+      buf_len_ = 0;
+      continue;
+    }
+    const std::uint8_t* p = buf_.data() + (pos - buf_pos_);
+    if (read_u32(p) != kWalMagic) break;
+    const std::uint64_t seq = read_u64(p + 4);
+    const std::uint32_t len = read_u32(p + 12);
+    if (len > net::kMaxFieldLength || seq > watermark) break;
+    const std::size_t size = kWalHeaderSize + len + kWalTrailerSize;
+    if (!fill(pos, size)) break;  // the rest is still being written
+    p = buf_.data() + (pos - buf_pos_);
+    if (!record_crc_ok(p, len)) break;
+    if (cold_) {
+      if (seq > cursor_ + 1) {
+        out.gap = true;
+        break;
+      }
+      cold_ = false;
+    }
+    if (seq > cursor_) {
+      if (!out.records.empty() && payload_bytes + len > max_bytes) break;
+      payload_bytes += len;
+      out.records.push_back(
+          {seq, net::Bytes(p + kWalHeaderSize, p + kWalHeaderSize + len)});
+      cursor_ = seq;
+    }
+    pos += size;
+    offset_ = pos;
+  }
+  if (buf_.size() > kChunkBytes) net::Bytes().swap(buf_);
   return out;
 }
 
@@ -253,9 +324,7 @@ ReplayStats WriteAheadLog::open_and_replay(std::uint64_t from_seq,
 
   std::vector<std::string> files;
   for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("wal-", 0) == 0 && name.size() > 8 &&
-        name.compare(name.size() - 4, 4, ".log") == 0)
+    if (is_segment_name(entry.path().filename().string()))
       files.push_back(entry.path().string());
   }
   // Zero-padded names sort lexically in seq order.

@@ -41,6 +41,13 @@
 // records after junk, and if even that rollback fails the log refuses
 // all further appends, leaving the junk at EOF where the torn-tail rule
 // handles it.
+//
+// Tailing: the replication shipper reads the log through one
+// WalTailReader per follower session — a cursor that opens cold (a
+// directory listing and a walk of the segment holding cursor + 1) only on
+// session start and after a snapshot, then preads just the bytes each
+// commit appended, holding no more than one batch plus one bounded read
+// buffer.
 #pragma once
 
 #include <cstdint>
@@ -91,19 +98,91 @@ net::Bytes encode_wal_record(std::uint64_t seq, const net::Bytes& payload);
 /// knows the exact byte where the log stopped being believable.
 WalRecord decode_wal_record(const net::Bytes& buf, std::size_t* offset);
 
-/// Stateless read of up to `max_records` records with seq > from_seq from
-/// the segment files in `dir`, in seq order — the replication shipper's
-/// view of the log (the disk IS the replication buffer; nothing is queued
-/// in memory for slow followers). Safe to call while another thread
-/// appends: a partial record at the tail (an append in progress, or a
-/// torn tail recovery has not yet trimmed) ends the scan instead of
-/// throwing. Sets `*gap` (may be null) when the oldest surviving record
-/// already exceeds from_seq + 1 — compaction pruned history the caller
-/// needs, so it must catch up from a snapshot instead.
-std::vector<WalRecord> read_wal_records(const std::string& dir,
-                                        std::uint64_t from_seq,
-                                        std::size_t max_records,
-                                        bool* gap = nullptr);
+/// One WalTailReader::next() result: the records to ship, or the
+/// discovery that compaction pruned history after the cursor (`gap`), so
+/// the caller must catch up from a snapshot instead.
+struct WalTail {
+  std::vector<WalRecord> records;
+  bool gap = false;
+};
+
+/// A per-session cursor over the log's tail — the replication shipper's
+/// view of the WAL (the disk IS the replication buffer; nothing is queued
+/// in memory for slow followers). It holds the open segment's fd, the
+/// byte offset after the last record it consumed, and the seq of the last
+/// record it returned (the cursor), so each next() preads only bytes
+/// appended since the previous call: the work per batch follows the
+/// batch, not the segment.
+///
+/// Cold path: construction and seek() drop the fd; the next read lists
+/// the directory, opens the segment that holds cursor + 1 (the newest one
+/// whose first seq <= cursor + 1) and walks it from the start,
+/// CRC-checking and skipping records <= cursor. If the first record it
+/// meets already exceeds cursor + 1, compaction pruned what the caller
+/// needs and next() reports `gap`.
+///
+/// Warm path: at the clean end of a segment while records up to the
+/// watermark are still missing, the segment must be sealed, so the
+/// reader moves to `wal-<cursor + 1>.log`; if compaction already deleted
+/// that file it reports `gap`. A segment deleted under the cursor stays
+/// readable through the held fd.
+///
+/// Safe while another thread appends: a partial record at the tail (an
+/// append in progress, or junk a failed write is rolling back) ends the
+/// read without moving the cursor, and so does a record cut by the
+/// watermark or the byte cap — the next call reads it again.
+///
+/// Memory: the returned batch plus one read buffer of
+/// max(kChunkBytes, one record); a buffer grown for an outsized record
+/// is released at the end of the call.
+class WalTailReader {
+ public:
+  static constexpr std::size_t kChunkBytes = 64u << 10;
+
+  /// `bytes_read` (may be null) counts every byte pread from segment
+  /// files — the read amplification the cursor exists to bound.
+  WalTailReader(std::string dir, std::uint64_t cursor,
+                obs::Counter* bytes_read = nullptr);
+  ~WalTailReader();
+
+  WalTailReader(const WalTailReader&) = delete;
+  WalTailReader& operator=(const WalTailReader&) = delete;
+
+  /// Reposition at `cursor` (e.g. after a snapshot moved the reader's
+  /// consumer past it); the next read takes the cold path.
+  void seek(std::uint64_t cursor);
+
+  /// Records with cursor < seq <= watermark, in seq order: at most
+  /// `max_records`, stopping at the first record that would push the
+  /// payload bytes past `max_bytes` (always keeping at least one, so
+  /// progress is guaranteed). The watermark is the writer's committed
+  /// position — records past it may still be mid-commit. The cursor
+  /// advances to the last returned record.
+  WalTail next(std::uint64_t watermark, std::size_t max_records,
+               std::size_t max_bytes);
+
+  std::uint64_t cursor() const { return cursor_; }
+
+ private:
+  bool open_cold();
+  /// 0, or the errno of the failed open (the fd stays as it was).
+  int open_segment(std::uint64_t first_seq);
+  void close_segment();
+  /// Make the buffer hold the `need` bytes at file offset `pos`, reading
+  /// at least to a full chunk. False when the segment ends first.
+  bool fill(std::uint64_t pos, std::size_t need);
+
+  std::string dir_;
+  obs::Counter* bytes_read_;
+  std::uint64_t cursor_;
+  int fd_ = -1;
+  std::uint64_t segment_first_ = 0;  ///< name of the open segment
+  std::uint64_t offset_ = 0;         ///< end of the last consumed record
+  bool cold_ = true;  ///< the next record walked must be <= cursor + 1
+  net::Bytes buf_;    ///< capacity; holds file bytes [buf_pos_, +buf_len_)
+  std::uint64_t buf_pos_ = 0;
+  std::size_t buf_len_ = 0;
+};
 
 struct ReplayStats {
   std::uint64_t records_applied = 0;

@@ -133,6 +133,19 @@ TEST(HmacSha256, LongKeyIsHashedFirst) {
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
+TEST(HmacSha256, TwoSpansMatchTheirConcatenation) {
+  // RFC 4231 case 2 split at every point, including empty halves.
+  const std::string key_s = "Jefe";
+  const std::vector<std::uint8_t> key(key_s.begin(), key_s.end());
+  const std::string msg = "what do ya want for nothing?";
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(msg.data());
+  for (std::size_t cut = 0; cut <= msg.size(); ++cut)
+    EXPECT_EQ(to_hex(hmac_sha256(key, {bytes, cut},
+                                 {bytes + cut, msg.size() - cut})),
+              "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843")
+        << "cut " << cut;
+}
+
 TEST(DigestEqual, DetectsDifference) {
   Digest a{}, b{};
   EXPECT_TRUE(digest_equal(a, b));

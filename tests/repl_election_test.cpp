@@ -8,6 +8,7 @@
 // ThreadSanitizer job runs them by regex.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -20,6 +21,7 @@
 #include "core/tcp_runtime.hpp"
 #include "engine/epoll_server.hpp"
 #include "net/auth.hpp"
+#include "net/sha256.hpp"
 #include "net/tcp.hpp"
 #include "opt/schedule.hpp"
 #include "replica/failure_detector.hpp"
@@ -283,6 +285,30 @@ TEST(Election, SealOpenRoundTripAndTamperRejection) {
   EXPECT_EQ(*replica::open_repl_payload(ReplKey{}, net::MessageType::kReplVote,
                                         payload),
             payload);
+}
+
+TEST(Election, SealTagIsHmacOverTypeByteThenPayload) {
+  // The wire format both peers agree on: payload || HMAC(key, type ||
+  // payload). Any change to how the tag is computed must keep these bytes.
+  const ReplKey key = key_of({7, 7, 7});
+  net::Bytes payload(300);
+  for (std::size_t i = 0; i < payload.size(); ++i)
+    payload[i] = static_cast<std::uint8_t>(i * 31);
+  net::Bytes mac_input(1 + payload.size());
+  mac_input[0] = static_cast<std::uint8_t>(net::MessageType::kReplAppend);
+  std::copy(payload.begin(), payload.end(), mac_input.begin() + 1);
+  const net::Digest tag = net::hmac_sha256(key, mac_input);
+  net::Bytes expected(payload.size() + tag.size());
+  std::copy(tag.begin(), tag.end(),
+            std::copy(payload.begin(), payload.end(), expected.begin()));
+
+  EXPECT_EQ(replica::seal_repl_payload(key, net::MessageType::kReplAppend,
+                                       payload),
+            expected);
+  const auto opened = replica::open_repl_payload(
+      key, net::MessageType::kReplAppend, expected);
+  ASSERT_TRUE(opened.has_value());
+  EXPECT_EQ(*opened, payload);
 }
 
 TEST(Election, HeartbeatCodecRoundTrip) {

@@ -1,5 +1,5 @@
 // Replication subsystem tests: epoch register durability and fencing,
-// Repl* message codecs, the shipper's WAL batch reader, quorum ack
+// Repl* message codecs, the shipper's WAL tail cursor, quorum ack
 // tracking, follower-mode engine redirects, and end-to-end leader ->
 // follower streaming — including the determinism contract (leader and
 // follower are byte-identical at equal log offsets) and snapshot
@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -273,6 +274,33 @@ TEST(ReplQuorumSize, MajorityOfConfiguredFollowers) {
 
 // ------------------------------------------------------- batch shipping
 
+/// Seqs of `records`, for compact comparisons.
+std::vector<std::uint64_t> seqs_of(const std::vector<store::WalRecord>& records) {
+  std::vector<std::uint64_t> out;
+  for (const auto& r : records) out.push_back(r.seq);
+  return out;
+}
+
+std::vector<std::uint64_t> seq_range(std::uint64_t from, std::uint64_t to) {
+  std::vector<std::uint64_t> out;
+  for (std::uint64_t s = from; s <= to; ++s) out.push_back(s);
+  return out;
+}
+
+/// Append `bytes` to the file at `path` (simulating a writer mid-append).
+void append_raw(const std::string& path, const net::Bytes& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::app);
+  f.write(reinterpret_cast<const char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+}
+
+std::string segment_path(const std::string& dir, std::uint64_t first_seq) {
+  char name[40];
+  std::snprintf(name, sizeof(name), "wal-%020llu.log",
+                static_cast<unsigned long long>(first_seq));
+  return dir + "/" + name;
+}
+
 TEST(ReplBatch, ReadsAfterCursorUpToWatermark) {
   TempDir td;
   obs::MetricsRegistry reg;
@@ -283,29 +311,34 @@ TEST(ReplBatch, ReadsAfterCursorUpToWatermark) {
   for (std::uint64_t s = 1; s <= 10; ++s) wal.append(s, {0x10, 0x20});
   wal.sync();
 
-  auto b = replica::next_ship_batch(td.path, 0, 10, 256, 1u << 20);
+  store::WalTailReader reader(td.path, 0);
+  auto b = reader.next(10, 256, 1u << 20);
   EXPECT_FALSE(b.gap);
-  ASSERT_EQ(b.records.size(), 10u);
-  EXPECT_EQ(b.records.front().seq, 1u);
-  EXPECT_EQ(b.records.back().seq, 10u);
+  EXPECT_EQ(seqs_of(b.records), seq_range(1, 10));
+  EXPECT_EQ(b.records.front().payload, (net::Bytes{0x10, 0x20}));
+  EXPECT_EQ(reader.cursor(), 10u);
 
-  b = replica::next_ship_batch(td.path, 4, 10, 256, 1u << 20);
-  ASSERT_EQ(b.records.size(), 6u);
-  EXPECT_EQ(b.records.front().seq, 5u);
+  // A cold open mid-segment skips the records at or below the cursor.
+  reader.seek(4);
+  b = reader.next(10, 256, 1u << 20);
+  EXPECT_EQ(seqs_of(b.records), seq_range(5, 10));
 
   // Records past the committed watermark may be mid-commit: held back.
-  b = replica::next_ship_batch(td.path, 0, 7, 256, 1u << 20);
-  ASSERT_EQ(b.records.size(), 7u);
-  EXPECT_EQ(b.records.back().seq, 7u);
+  reader.seek(0);
+  b = reader.next(7, 256, 1u << 20);
+  EXPECT_EQ(seqs_of(b.records), seq_range(1, 7));
 
-  b = replica::next_ship_batch(td.path, 0, 10, 3, 1u << 20);
+  reader.seek(0);
+  b = reader.next(10, 3, 1u << 20);
   EXPECT_EQ(b.records.size(), 3u);
 
   // The byte cap always keeps at least one record (progress guarantee).
-  b = replica::next_ship_batch(td.path, 0, 10, 256, 1);
+  reader.seek(0);
+  b = reader.next(10, 256, 1);
   EXPECT_EQ(b.records.size(), 1u);
 
-  b = replica::next_ship_batch(td.path, 10, 10, 256, 1u << 20);
+  reader.seek(10);
+  b = reader.next(10, 256, 1u << 20);
   EXPECT_TRUE(b.records.empty());
   EXPECT_FALSE(b.gap);
 }
@@ -322,14 +355,133 @@ TEST(ReplBatch, PrunedHistoryReportsGap) {
   wal.sync();
   ASSERT_GT(wal.truncate_through(5), 0u);
 
-  auto b = replica::next_ship_batch(td.path, 0, 10, 256, 1u << 20);
+  store::WalTailReader reader(td.path, 0);
+  auto b = reader.next(10, 256, 1u << 20);
   EXPECT_TRUE(b.gap) << "cursor 0 predates the oldest surviving record";
   EXPECT_TRUE(b.records.empty());
+  EXPECT_EQ(reader.cursor(), 0u);
 
-  b = replica::next_ship_batch(td.path, 5, 10, 256, 1u << 20);
+  reader.seek(5);
+  b = reader.next(10, 256, 1u << 20);
   EXPECT_FALSE(b.gap);
   ASSERT_FALSE(b.records.empty());
   EXPECT_EQ(b.records.front().seq, 6u);
+}
+
+TEST(ReplBatch, BatchSpansSegmentRotation) {
+  TempDir td;
+  obs::MetricsRegistry reg;
+  store::WalOptions wo;
+  wo.metrics = &reg;
+  wo.segment_max_bytes = 3 * (20 + 8);  // rotate every third record
+  store::WriteAheadLog wal(td.path, wo);
+  wal.open_and_replay(0, [](std::uint64_t, const net::Bytes&) {});
+  for (std::uint64_t s = 1; s <= 4; ++s) wal.append(s, net::Bytes(8, 0x11));
+
+  store::WalTailReader reader(td.path, 0);
+  auto b = reader.next(4, 256, 1u << 20);
+  EXPECT_EQ(seqs_of(b.records), seq_range(1, 4))
+      << "one batch crosses the first rotation";
+
+  // The cursor now sits in the active segment; later rotations happen
+  // under it and a single batch follows them across three segments.
+  for (std::uint64_t s = 5; s <= 11; ++s) wal.append(s, net::Bytes(8, 0x22));
+  ASSERT_GE(wal.segment_count(), 4u);
+  b = reader.next(11, 256, 1u << 20);
+  EXPECT_FALSE(b.gap);
+  EXPECT_EQ(seqs_of(b.records), seq_range(5, 11));
+  EXPECT_EQ(b.records.back().payload, net::Bytes(8, 0x22));
+  EXPECT_TRUE(reader.next(11, 256, 1u << 20).records.empty());
+}
+
+TEST(ReplBatch, CompactionUnderCursorGivesGapThenSnapshotResume) {
+  TempDir td;
+  obs::MetricsRegistry reg;
+  store::WalOptions wo;
+  wo.metrics = &reg;
+  wo.segment_max_bytes = 1;  // rotate after every record
+  store::WriteAheadLog wal(td.path, wo);
+  wal.open_and_replay(0, [](std::uint64_t, const net::Bytes&) {});
+  for (std::uint64_t s = 1; s <= 10; ++s) wal.append(s, {0x42});
+
+  store::WalTailReader reader(td.path, 0);
+  ASSERT_EQ(seqs_of(reader.next(10, 3, 1u << 20).records), seq_range(1, 3));
+
+  // A snapshot at 6 compacts the segment the cursor sits in and the ones
+  // after it: the cursor cannot continue, and says so.
+  ASSERT_GE(wal.truncate_through(6), 6u);
+  auto b = reader.next(10, 256, 1u << 20);
+  EXPECT_TRUE(b.gap);
+  EXPECT_TRUE(b.records.empty());
+  EXPECT_EQ(reader.cursor(), 3u);
+  EXPECT_TRUE(reader.next(10, 256, 1u << 20).gap) << "gap until repositioned";
+
+  // The snapshot path: the consumer installs state at 6 and the cursor
+  // resumes cold above it.
+  reader.seek(6);
+  b = reader.next(10, 256, 1u << 20);
+  EXPECT_FALSE(b.gap);
+  EXPECT_EQ(seqs_of(b.records), seq_range(7, 10));
+}
+
+TEST(ReplBatch, PartialRecordPastWatermarkDoesNotMoveCursor) {
+  TempDir td;
+  const std::string seg = segment_path(td.path, 1);
+  for (std::uint64_t s = 1; s <= 5; ++s)
+    append_raw(seg, store::encode_wal_record(s, net::Bytes(16, 0x33)));
+  const net::Bytes rec6 = store::encode_wal_record(6, net::Bytes(16, 0x66));
+  // Record 6 is mid-append: its header and half its body are on disk.
+  append_raw(seg, net::Bytes(rec6.begin(), rec6.begin() + 24));
+
+  store::WalTailReader reader(td.path, 0);
+  EXPECT_EQ(seqs_of(reader.next(3, 256, 1u << 20).records), seq_range(1, 3));
+  // Watermark 5: the partial record 6 sits past it and ends the read.
+  EXPECT_EQ(seqs_of(reader.next(5, 256, 1u << 20).records), seq_range(4, 5));
+  EXPECT_EQ(reader.cursor(), 5u);
+  // Even once 6 is committed, a torn frame is not shipped or skipped.
+  auto b = reader.next(6, 256, 1u << 20);
+  EXPECT_TRUE(b.records.empty());
+  EXPECT_FALSE(b.gap);
+  EXPECT_EQ(reader.cursor(), 5u);
+
+  append_raw(seg, net::Bytes(rec6.begin() + 24, rec6.end()));
+  b = reader.next(6, 256, 1u << 20);
+  ASSERT_EQ(seqs_of(b.records), seq_range(6, 6));
+  EXPECT_EQ(b.records[0].payload, net::Bytes(16, 0x66));
+}
+
+TEST(ReplBatch, WatermarkAndByteCapCutsSkipNothing) {
+  TempDir td;
+  obs::MetricsRegistry reg;
+  store::WalOptions wo;
+  wo.metrics = &reg;
+  wo.segment_max_bytes = 512;
+  store::WriteAheadLog wal(td.path, wo);
+  wal.open_and_replay(0, [](std::uint64_t, const net::Bytes&) {});
+  for (std::uint64_t s = 1; s <= 20; ++s)
+    wal.append(s, net::Bytes(100, static_cast<std::uint8_t>(s)));
+
+  // 250 payload bytes per batch fit two 100-byte records; the third is
+  // cut and must come first in the next batch. Watermarks cut too.
+  store::WalTailReader reader(td.path, 0);
+  std::vector<std::uint64_t> got;
+  for (const std::uint64_t watermark : {3, 3, 7, 12, 20, 20, 20, 20, 20}) {
+    const auto b = reader.next(watermark, 256, 250);
+    EXPECT_FALSE(b.gap);
+    EXPECT_LE(b.records.size(), 2u);
+    for (const auto& r : b.records) {
+      EXPECT_LE(r.seq, static_cast<std::uint64_t>(watermark));
+      EXPECT_EQ(r.payload, net::Bytes(100, static_cast<std::uint8_t>(r.seq)));
+      got.push_back(r.seq);
+    }
+  }
+  EXPECT_EQ(got, seq_range(1, 17));
+  while (reader.cursor() < 20) {
+    const auto b = reader.next(20, 256, 250);
+    ASSERT_FALSE(b.records.empty());
+    for (const auto& r : b.records) got.push_back(r.seq);
+  }
+  EXPECT_EQ(got, seq_range(1, 20));
 }
 
 // --------------------------------------------------------- ack tracking
@@ -555,9 +707,8 @@ TEST(Replication, SnapshotCatchUpPastCompactedHistory) {
   // Compaction prunes shipped history: a fresh follower's cursor 0 now
   // falls in a gap and must be served a snapshot first.
   ASSERT_TRUE(leader.store->compact(leader.server));
-  bool gap = false;
-  store::read_wal_records(leader.dir.path, 0, 1, &gap);
-  ASSERT_TRUE(gap) << "compaction should have pruned seq 1";
+  ASSERT_TRUE(store::WalTailReader(leader.dir.path, 0).next(30, 1, 1).gap)
+      << "compaction should have pruned seq 1";
 
   FollowerRig f(leader.shipper->port());
   f.follower->start();
@@ -569,6 +720,46 @@ TEST(Replication, SnapshotCatchUpPastCompactedHistory) {
   leader.drive(eng, 10);
   ASSERT_TRUE(wait_until([&] { return f.follower->applied_seq() == 40u; }));
   expect_same_state(leader.server, f.server);
+
+  f.follower->shutdown();
+  leader.shipper->shutdown();
+}
+
+TEST(Replication, ShipReadsOnlyTheAppendedTail) {
+  // Read amplification: once a follower is caught up, shipping N new
+  // records must read about N records of WAL, not the active segment
+  // they were appended to.
+  LeaderRig leader(ReplAckMode::kAsync);
+  auto& appended = leader.reg.counter("crowdml_wal_bytes_total", "x",
+                                      obs::Provenance::kTransportEvent);
+  auto& read = leader.reg.counter("crowdml_repl_wal_bytes_read_total", "x",
+                                  obs::Provenance::kTransportEvent);
+  rng::Engine eng(21);
+  while (appended.value() < (1 << 20)) leader.drive(eng, 500);
+  ASSERT_EQ(wal_segment_names(leader.dir.path).size(), 1u)
+      << "want one active segment holding >= 1 MiB";
+
+  FollowerRig f(leader.shipper->port());
+  f.follower->start();
+  const auto caught_up = [&] {
+    return f.follower->applied_seq() == leader.server.version();
+  };
+  ASSERT_TRUE(wait_until(caught_up, 30000));
+  EXPECT_GE(read.value(), appended.value())
+      << "the session's cold start walks the segment once";
+
+  for (int round = 0; round < 5; ++round) {
+    const long long appended0 = appended.value();
+    const long long read0 = read.value();
+    leader.drive(eng, 4);
+    ASSERT_TRUE(wait_until(caught_up));
+    const long long batch_bytes = appended.value() - appended0;
+    const long long read_bytes = read.value() - read0;
+    EXPECT_GE(read_bytes, batch_bytes) << "round " << round;
+    EXPECT_LE(read_bytes, 2 * batch_bytes)
+        << "round " << round << ": shipping 4 records read " << read_bytes
+        << " bytes of a " << appended.value() << "-byte segment";
+  }
 
   f.follower->shutdown();
   leader.shipper->shutdown();

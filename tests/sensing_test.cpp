@@ -47,9 +47,11 @@ TEST(Fft, SinusoidPeaksAtItsBin) {
   // Energy concentrates in bin k and its conjugate-symmetric twin n-k.
   EXPECT_NEAR(mags[k], static_cast<double>(n) / 2.0, 1e-9);
   EXPECT_NEAR(mags[n - k], mags[k], 1e-9);
-  for (std::size_t i = 0; i < n; ++i)
-    if (i != static_cast<std::size_t>(k) && i != n - k)
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i != static_cast<std::size_t>(k) && i != n - k) {
       EXPECT_NEAR(mags[i], 0.0, 1e-9);
+    }
+  }
 }
 
 TEST(Fft, InverseRoundTrip) {

@@ -68,12 +68,6 @@ void apply_checkins(core::Server& server, int n, double scale) {
   }
 }
 
-net::Bytes sealed_frame(const replica::ReplKey& key, net::MessageType type,
-                        const net::Bytes& payload) {
-  return net::encode_frame(type,
-                           replica::seal_repl_payload(key, type, payload));
-}
-
 replica::ReplKey test_key() { return replica::ReplKey{1, 2, 3, 4, 5, 6}; }
 
 }  // namespace

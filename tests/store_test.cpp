@@ -475,7 +475,9 @@ TEST(DurableStore, RecoveredServerMatchesWitnessByteForByte) {
       const auto live_ack = live.handle_checkin(msg);
       const auto wit_ack = witness.handle_checkin(msg);
       ASSERT_EQ(live_ack.ok, wit_ack.ok);
-      if (i == 30) ASSERT_TRUE(ds.compact(live));
+      if (i == 30) {
+        ASSERT_TRUE(ds.compact(live));
+      }
     }
     // SIGKILL: no sync, no clean shutdown — the store just goes away.
   }

@@ -3,7 +3,7 @@
 // Streams labeled samples from a CSV file (label,feature1,feature2,...)
 // through Algorithm 1 against a running crowdml-server:
 //
-//   crowdml-device --host 127.0.0.1 --port 9000 \
+//   crowdml-device --host 127.0.0.1 --port 9000
 //       --data samples.csv --key "17,ab34..."   # one row of keys-out
 //       [--minibatch 10] [--epsilon 10] [--passes 1] [--classes 10]
 //       [--io-deadline-ms 5000] [--connect-timeout-ms 2000]

@@ -2,8 +2,8 @@
 //
 // Usage:
 //   crowdml-server --port 9000 --classes 10 --dim 50
-//       [--lr 50] [--radius 500] [--updater sgd|adagrad|momentum|dualavg] \
-//       [--max-iterations N] [--target-error rho] \
+//       [--lr 50] [--radius 500] [--updater sgd|adagrad|momentum|dualavg]
+//       [--max-iterations N] [--target-error rho]
 //       [--enroll N --keys-out keys.csv]      # pre-enroll N devices
 //       [--checkpoint state.bin]              # load + periodically save
 //       [--wal-dir DIR]                       # durable store: WAL + atomic

@@ -1,7 +1,7 @@
 // crowdml-make-dataset — generate synthetic datasets as CSV for the CLI
 // tools and external experiments.
 //
-//   crowdml-make-dataset --kind mnist|cifar|thermostat|activity \
+//   crowdml-make-dataset --kind mnist|cifar|thermostat|activity
 //       [--scale 0.1] [--out-train train.csv] [--out-test test.csv]
 //       [--seed 42] [--shards N --shard-prefix dev_]  # per-device files
 #include <cstdio>
