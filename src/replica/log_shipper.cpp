@@ -351,7 +351,10 @@ void LogShipper::session_loop(std::uint64_t session_id,
                           {"last_seq", hello.last_seq},
                           {"epoch", hello.epoch}});
 
-    std::uint64_t cursor = hello.last_seq;
+    // The session's cursor into the log: it opens cold here and after a
+    // snapshot, and otherwise reads only what each commit appended.
+    store::WalTailReader reader(store_.dir(), hello.last_seq,
+                                &wal_bytes_read_);
     bool alive = true;
     if (!maybe_heartbeat()) break;
 
@@ -367,7 +370,7 @@ void LogShipper::session_loop(std::uint64_t session_id,
             hello.snapshot_offset < snap_cache_->size())
           blob = snap_cache_;
       }
-      if (blob && hello.snapshot_version > cursor) {
+      if (blob && hello.snapshot_version > reader.cursor()) {
         bool fenced_session = false;
         if (opts_.trace)
           opts_.trace->event("repl_snapshot_resumed",
@@ -379,13 +382,10 @@ void LogShipper::session_loop(std::uint64_t session_id,
                                   &fenced_session, maybe_heartbeat))
           break;
         ++snapshots_shipped_;
-        cursor = hello.snapshot_version;
+        reader.seek(hello.snapshot_version);
       }
     }
 
-    // The session's cursor into the log: it opens cold here and after a
-    // snapshot, and otherwise reads only what each commit appended.
-    store::WalTailReader reader(store_.dir(), cursor, &wal_bytes_read_);
     while (alive && !stopping_.load() && !fenced_.load()) {
       if (!maybe_heartbeat()) break;
       std::uint64_t watermark;
