@@ -201,6 +201,10 @@ struct ModelFactory {
   std::unique_ptr<models::Model> (*make)();
 };
 
+// Without this, gtest prints the raw struct bytes (two pointers) into the
+// listed test name, so the name would change with every address layout.
+void PrintTo(const ModelFactory& f, std::ostream* os) { *os << f.name; }
+
 std::unique_ptr<models::Model> make_mc_logistic() {
   return std::make_unique<models::MulticlassLogisticRegression>(4, 6, 0.0);
 }
