@@ -206,7 +206,10 @@ inline JsonField jint(const std::string& key, long long v) {
 }
 
 inline JsonField jstr(const std::string& key, const std::string& v) {
-  return {key, "\"" + json_escape(v) + "\""};
+  std::string quoted = "\"";
+  quoted += json_escape(v);
+  quoted += '"';
+  return {key, std::move(quoted)};
 }
 
 /// Write the bench's results (+ every check recorded so far) to `path`.

@@ -117,8 +117,9 @@ void EpollCrowdServer::accept_loop() {
     if (!conn) break;  // listener closed
     if (stopping_.load()) break;
     if (connections() >= config_.max_connections) {
-      // Same graceful refusal as the legacy runtime: say why, with a
-      // retry hint, before hanging up.
+      // Graceful refusal: say why, with a retry hint, before hanging up,
+      // so the device's next backoff is informed rather than a mystery
+      // EOF.
       ++counters_.refused_connections;
       if (config_.trace)
         config_.trace->event("refusal", {{"reason", "server at capacity"}});
@@ -294,7 +295,7 @@ void EpollCrowdServer::applier_loop() {
     const Clock::time_point apply_start = Clock::now();
 
     // Apply in arrival order — the server's update sequence is exactly
-    // the serialized order the legacy runtime would have produced.
+    // the serialized order of in-process ProtocolServer::handle dispatch.
     responses.reserve(n);
     classes.reserve(n);
     for (const CheckinWork& work : batch) {

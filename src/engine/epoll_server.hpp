@@ -1,12 +1,9 @@
-// Scalable serving engine: epoll event loops + snapshot checkouts +
+// The Crowd-ML serving engine: epoll event loops + snapshot checkouts +
 // batched checkin application with group commit.
 //
-// The thread-per-connection runtime (core::TcpCrowdServer) spends one OS
-// thread per device and funnels every request — reads and writes alike —
-// through the server's state lock, and with `--fsync always` pays one
-// fsync per checkin. This engine restructures the same protocol around
-// the workload's actual shape (Section IV-B: checkouts vastly outnumber
-// and out-size checkins; checkins are small but must serialize):
+// The engine shapes the protocol around the workload (Section IV-B:
+// checkouts vastly outnumber and out-size checkins; checkins are small
+// but must serialize):
 //
 //   - a configurable pool of epoll EventLoops multiplexes all device
 //     connections on a few threads (nonblocking frame state machines
@@ -15,19 +12,20 @@
 //     ModelSnapshotBoard's pre-encoded frame — no state lock, no
 //     serialization work, no contention with updates;
 //   - checkins flow through a bounded MPSC CheckinQueue to one applier
-//     thread, which applies them in arrival order (the server's update
-//     sequence stays identical to the serialized legacy order), group-
-//     commits the whole batch's WAL appends with a single fsync
+//     thread, which applies them in arrival order through
+//     core::ProtocolServer::handle (so the update sequence is the one a
+//     serialized dispatcher would produce), group-commits the whole
+//     batch's WAL appends with a single fsync
 //     (store::DurableStore::commit_group), republishes the board, and
-//     only then releases the acks — acked => durable still holds;
+//     only then releases the acks — acked => durable holds;
 //   - admission control: a full queue sheds with a machine-readable
 //     "retry_after_ms" nack (net::retry_after_reason) that
 //     ReconnectingDeviceSession honors as its next delay, so overload
 //     degrades into scheduled retries instead of timeout storms.
 //
-// Observable behavior matches the legacy runtime in every ordering-
-// deterministic test: same frames, same acks, same final (w, t) for the
-// same arrival order. See docs/SCALING.md.
+// For the same arrival order the engine yields the same frames, acks and
+// final (w, t) as dispatching each frame through ProtocolServer::handle
+// in process. See docs/SCALING.md.
 #pragma once
 
 #include <atomic>
@@ -62,8 +60,8 @@ struct EngineConfig {
   /// capacity nack with a retry hint and are closed.
   std::size_t max_connections = 256;
   int capacity_retry_after_ms = 250;
-  /// Close connections silent for this long (<= 0 disables), same
-  /// semantics as TcpServerConfig::idle_timeout_ms.
+  /// Close connections silent for this long (<= 0 disables); counted
+  /// as NetCounters::idle_closed.
   int idle_timeout_ms = -1;
   /// Bounded checkin queue: when full, requests are shed with a nack
   /// carrying this retry hint.

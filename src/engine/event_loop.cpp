@@ -231,10 +231,12 @@ void EventLoop::sweep_idle() {
   std::vector<std::uint64_t> idle;
   for (const auto& [id, conn] : conns_)
     if (conn->last_activity < cutoff) idle.push_back(id);
+  // Close before counting: a reader that sees the idle_closed bump must
+  // also see connections() already lowered.
   for (const auto id : idle) {
+    close_conn(id);
     if (opts_.idle_closed) ++*opts_.idle_closed;
     if (opts_.trace) opts_.trace->event("idle_close");
-    close_conn(id);
   }
 }
 

@@ -1,10 +1,10 @@
 // Lock-free checkout serving: a versioned, atomically published model
 // snapshot.
 //
-// In the thread-per-connection runtime every checkout takes the server's
-// state lock to copy w (Server Routine 1). At scale that lock is the
-// bottleneck: checkouts are pure reads (handle_checkout mutates nothing),
-// yet they serialize against every checkin's SGD update. The board fixes
+// Answering a checkout through the server would take its state lock to
+// copy w (Server Routine 1). At scale that lock is the bottleneck:
+// checkouts are pure reads (handle_checkout mutates nothing), yet they
+// would serialize against every checkin's SGD update. The board avoids
 // this with RCU-style publication: the applier thread builds a complete
 // snapshot — version, accepted flag, and the *pre-encoded* kParams
 // response frame — and publishes it with one atomic shared_ptr store.

@@ -1,5 +1,8 @@
 #include "net/messages.hpp"
 
+#include <algorithm>
+#include <cstring>
+
 #include "net/checksum.hpp"
 #include "obs/profile.hpp"
 
@@ -653,16 +656,21 @@ Bytes frame_with_checkin_hint(const Bytes& frame, std::uint32_t hint_ms) {
 
 Bytes encode_frame(MessageType type, const Bytes& payload) {
   obs::TimedScope timer(encode_seconds());
-  Bytes out;
-  out.reserve(kFrameHeaderSize + payload.size() + kFrameTrailerSize);
-  out.insert(out.end(), std::begin(kMagic), std::end(kMagic));
-  out.push_back(static_cast<std::uint8_t>(type));
+  // Sized once; header, payload and CRC are written in place.
+  const std::size_t crc_off = kFrameHeaderSize + payload.size();
+  Bytes out(crc_off + kFrameTrailerSize);
+  std::copy(std::begin(kMagic), std::end(kMagic), out.begin());
+  out[kFrameTypeOffset] = static_cast<std::uint8_t>(type);
   const auto len = static_cast<std::uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
-  out.insert(out.end(), payload.begin(), payload.end());
+  for (std::size_t i = 0; i < 4; ++i)
+    out[kFrameLenOffset + i] = static_cast<std::uint8_t>(len >> (8 * i));
+  if (!payload.empty())
+    std::memcpy(out.data() + kFrameHeaderSize, payload.data(), payload.size());
   // CRC over type + len + payload (everything after the magic).
-  const std::uint32_t crc = crc32(out.data() + 4, out.size() - 4);
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+  const std::uint32_t crc =
+      crc32(out.data() + kFrameMagicSize, crc_off - kFrameMagicSize);
+  for (std::size_t i = 0; i < 4; ++i)
+    out[crc_off + i] = static_cast<std::uint8_t>(crc >> (8 * i));
   return out;
 }
 

@@ -14,6 +14,7 @@
 
 #include "core/monitor.hpp"
 #include "core/tcp_runtime.hpp"
+#include "engine/epoll_server.hpp"
 #include "data/mixture.hpp"
 #include "models/logistic_regression.hpp"
 #include "net/fault_proxy.hpp"
@@ -57,9 +58,9 @@ TEST(ChaosTcp, CrowdLearnsThroughFaultyNetwork) {
                       rng::Engine(1));
   net::AuthRegistry registry(rng::Engine(2));
 
-  core::TcpServerConfig tcfg;
-  tcfg.idle_timeout_ms = 2000;  // reap connections the proxy half-killed
-  core::TcpCrowdServer tcp_server(server, registry, tcfg);
+  engine::EngineConfig tcfg;
+  tcfg.idle_timeout_ms = 2000;  // close connections the proxy half-killed
+  engine::EpollCrowdServer tcp_server(server, registry, tcfg);
 
   // An aggressive but seeded storm between the devices and the server.
   net::FaultPolicy chaos;

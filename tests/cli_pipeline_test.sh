@@ -7,6 +7,30 @@ WORK=$(mktemp -d)
 trap 'kill $SERVER_PID 2>/dev/null || true; rm -rf "$WORK"' EXIT
 cd "$WORK"
 
+# Bad flag values exit 1 with a message naming the offender, never an
+# abort or a silent wrap (70000 would otherwise listen on 4464).
+expect_refusal() {
+  WANT="$1"
+  shift
+  CODE=0
+  "$BUILD_DIR/tools/crowdml-server" "$@" --max-iterations 0 \
+      > refused.log 2>&1 || CODE=$?
+  [ "$CODE" -eq 1 ] && grep -q -e "$WANT" refused.log || {
+    echo "crowdml-server $*: want exit 1 naming '$WANT', got exit $CODE"
+    cat refused.log; exit 1; }
+}
+expect_refusal "threads" --engine threads
+expect_refusal "--port" --port abc
+expect_refusal "--port" --port 70000
+expect_refusal "--repl-followers" --repl-followers abc
+
+# epoll is the only engine: a pool starts without --engine.
+"$BUILD_DIR/tools/crowdml-server" --port 0 --model-instances 2 \
+    --max-iterations 0 > pool.log 2>&1 || {
+  echo "pooled server without --engine failed"; cat pool.log; exit 1; }
+grep -q "^config: engine=epoll .*model-instances=2 " pool.log || {
+  echo "pooled server did not start the epoll engine"; cat pool.log; exit 1; }
+
 "$BUILD_DIR/tools/crowdml-make-dataset" --kind mnist --scale 0.05 --shards 2 \
     --shard-prefix dev_ --seed 42
 

@@ -237,7 +237,9 @@ TEST(CoordClassTable, ParseRejectsTooManyClasses) {
   std::string spec;
   for (std::size_t i = 0; i <= coord::kMaxDeviceClasses; ++i) {
     if (!spec.empty()) spec += ',';
-    spec += "c" + std::to_string(i) + ":1";
+    spec += 'c';
+    spec += std::to_string(i);
+    spec += ":1";
   }
   std::string err;
   EXPECT_FALSE(coord::DeviceClassTable::parse(spec, &err).has_value());

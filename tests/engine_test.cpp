@@ -1,8 +1,8 @@
 // Serving-engine tests: snapshot board publication, checkin queue
 // ordering and shedding, end-to-end crowd learning through the epoll
 // engine, retry_after admission-control hints, group-commit durability,
-// and bit-identical parity with the thread-per-connection runtime on a
-// deterministic (sequential) workload.
+// and bit-identical parity with in-process ProtocolServer::handle
+// dispatch on a deterministic (sequential) workload.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -487,7 +487,9 @@ TEST(Engine, GroupCommitFailureNacksWholeBatch) {
 namespace {
 
 /// One deterministic sequential run: a single device, fixed seeds, same
-/// arrival order — through either serving engine. Returns final (w, t).
+/// arrival order — over the epoll engine, or with every frame dispatched
+/// in process through core::ProtocolServer::handle (the serialized
+/// reference order). Returns final (w, t).
 std::pair<linalg::Vector, std::uint64_t> sequential_run(
     bool use_epoll, const data::Dataset& ds) {
   models::MulticlassLogisticRegression model(3, 8, 0.0);
@@ -495,39 +497,37 @@ std::pair<linalg::Vector, std::uint64_t> sequential_run(
                       rng::Engine(1));
   net::AuthRegistry registry(rng::Engine(2));
 
-  std::unique_ptr<core::TcpCrowdServer> threads_srv;
-  std::unique_ptr<engine::EpollCrowdServer> epoll_srv;
-  std::uint16_t port = 0;
-  if (use_epoll) {
-    epoll_srv = std::make_unique<engine::EpollCrowdServer>(
-        server, registry, engine::EngineConfig{});
-    port = epoll_srv->port();
-  } else {
-    threads_srv =
-        std::make_unique<core::TcpCrowdServer>(server, registry, 0);
-    port = threads_srv->port();
-  }
-
   core::DeviceConfig dc;
   dc.minibatch_size = 5;
   dc.budget = privacy::PrivacyBudget::gradient_dominated(20.0);
   core::Device dev(dc, model, rng::Engine(100));
   dev.set_credentials(registry.enroll());
-  core::TcpDeviceSession session("127.0.0.1", port);
-  core::DeviceClient client(dev, session.as_exchange());
-  for (int pass = 0; pass < 2; ++pass)
-    for (const auto& s : ds.train) client.offer_sample(s);
+  const auto drive = [&](core::DeviceClient::Exchange exchange) {
+    core::DeviceClient client(dev, std::move(exchange));
+    for (int pass = 0; pass < 2; ++pass)
+      for (const auto& s : ds.train) client.offer_sample(s);
+  };
 
-  if (threads_srv) threads_srv->shutdown();
-  if (epoll_srv) epoll_srv->shutdown();
+  if (use_epoll) {
+    engine::EpollCrowdServer eng(server, registry, engine::EngineConfig{});
+    core::TcpDeviceSession session("127.0.0.1", eng.port());
+    drive(session.as_exchange());
+    eng.shutdown();
+  } else {
+    core::ProtocolServer protocol(server, registry);
+    drive([&protocol](const net::Bytes& req) -> std::optional<net::Bytes> {
+      return protocol.handle(req);
+    });
+  }
   return {server.parameters(), server.version()};
 }
 
 }  // namespace
 
 // The tentpole compatibility guarantee: for the same arrival order the
-// epoll engine produces bit-identical results to the legacy runtime —
+// epoll engine produces bit-identical results to serialized dispatch —
 // same update sequence, same snapshots served, same final parameters.
+// Name kept: the retired threads engine served by ProtocolServer::handle.
 TEST(EngineParity, BitIdenticalWithThreadsEngine) {
   const data::Dataset ds = small_dataset(250, 50);
   const auto threads_result = sequential_run(false, ds);

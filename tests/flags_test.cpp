@@ -72,6 +72,34 @@ TEST(Flags, EmptyValueViaEquals) {
   EXPECT_EQ(f.get("name", "x"), "");
 }
 
+// A malformed number is an error naming the flag, never an uncaught
+// std::stoll exception (which would abort the tool).
+TEST(Flags, MalformedNumberNamesTheFlag) {
+  const Flags f = parse({"--port=abc", "--lr=fast", "--n=12x", "--m="});
+  for (const char* name : {"port", "n", "m"}) {
+    try {
+      f.get_int(name, 0);
+      ADD_FAILURE() << name << " accepted";
+    } catch (const crowdml::tools::FlagError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + name),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(f.get_double("lr", 0.0), crowdml::tools::FlagError);
+  EXPECT_EQ(f.get_int("absent", 3), 3);  // fallbacks never parse
+}
+
+TEST(Flags, PortOutOfRangeRejected) {
+  EXPECT_EQ(parse({"--port=0"}).get_port("port"), 0);
+  EXPECT_EQ(parse({"--port=65535"}).get_port("port"), 65535);
+  EXPECT_EQ(parse({}).get_port("port"), 0);
+  // 70000 would otherwise wrap to 4464 through the uint16_t cast.
+  for (const char* bad : {"--port=70000", "--port=65536", "--port=-1"})
+    EXPECT_THROW(parse({bad}).get_port("port"), crowdml::tools::FlagError)
+        << bad;
+}
+
 // --------------------------------------------- replication flag bundle
 
 using crowdml::tools::ReplicaFlags;
@@ -141,12 +169,13 @@ TEST(ReplicaFlags, FollowerRequiresWalDirAndEpollEngine) {
   EXPECT_FALSE(replica({"--role=follower", "--leader-addr=h:1",
                         "--engine=epoll"})
                    .error.empty());
-  EXPECT_FALSE(replica({"--role=follower", "--leader-addr=h:1",
-                        "--wal-dir=replica"})
-                   .error.empty());
-  EXPECT_FALSE(replica({"--role=follower", "--leader-addr=h:1",
-                        "--engine=threads", "--wal-dir=replica"})
-                   .error.empty());
+  // epoll is the only engine: a follower no longer needs --engine.
+  const ReplicaFlags r =
+      replica({"--role=follower", "--leader-addr=h:1", "--wal-dir=replica"});
+  EXPECT_TRUE(r.error.empty()) << r.error;
+  EXPECT_TRUE(replica({"--role=follower", "--leader-addr=h:1",
+                       "--engine=epoll", "--wal-dir=replica"})
+                  .error.empty());
 }
 
 TEST(ReplicaFlags, FollowerRejectsLeaderOnlyFlags) {
@@ -166,11 +195,42 @@ TEST(ReplicaFlags, LeaderRejectsLeaderAddr) {
 
 TEST(ReplicaFlags, ReplicationRequiresWalDirAndEpoll) {
   EXPECT_FALSE(replica({"--repl-ack=async", "--engine=epoll"}).error.empty());
-  EXPECT_FALSE(
-      replica({"--repl-ack=async", "--wal-dir=wal"}).error.empty());
-  EXPECT_FALSE(replica({"--repl-ack=async", "--wal-dir=wal",
-                        "--engine=threads"})
-                   .error.empty());
+  // epoll is the only engine: replication no longer needs --engine.
+  const ReplicaFlags r = replica({"--repl-ack=async", "--wal-dir=wal"});
+  EXPECT_TRUE(r.error.empty()) << r.error;
+  EXPECT_TRUE(r.repl_enabled);
+  EXPECT_TRUE(replica({"--repl-port=7000", "--wal-dir=wal"}).error.empty());
+}
+
+TEST(ReplicaFlags, MalformedNumericValueNamesTheFlag) {
+  for (const char* flag : {"repl-followers", "lease-ms", "repl-port"}) {
+    const ReplicaFlags r = replica({"--wal-dir=wal", "--repl-ack=async",
+                                    std::string("--") + flag + "=abc"});
+    EXPECT_NE(r.error.find(std::string("--") + flag), std::string::npos)
+        << flag << ": " << r.error;
+  }
+  const ReplicaFlags f =
+      replica({"--role=follower", "--leader-addr=h:1", "--wal-dir=replica",
+               "--election-timeout-ms=soon"});
+  EXPECT_NE(f.error.find("--election-timeout-ms"), std::string::npos)
+      << f.error;
+}
+
+TEST(ReplicaFlags, ReplAndVotePortOutOfRangeRejected) {
+  const ReplicaFlags leader =
+      replica({"--wal-dir=wal", "--repl-port=70000"});
+  EXPECT_NE(leader.error.find("--repl-port"), std::string::npos)
+      << leader.error;
+  const ReplicaFlags follower =
+      replica({"--role=follower", "--leader-addr=h:1", "--wal-dir=replica",
+               "--election-timeout-ms=100", "--vote-port=65536"});
+  EXPECT_NE(follower.error.find("--vote-port"), std::string::npos)
+      << follower.error;
+  const ReplicaFlags ok =
+      replica({"--role=follower", "--leader-addr=h:1", "--wal-dir=replica",
+               "--election-timeout-ms=100", "--vote-port=65535"});
+  EXPECT_TRUE(ok.error.empty()) << ok.error;
+  EXPECT_EQ(ok.vote_port, 65535);
 }
 
 TEST(ReplicaFlags, PromoteOnStartEnablesReplication) {
@@ -254,10 +314,10 @@ TEST(CoordFlags, CoordFlagsWithoutSteeringRejected) {
 }
 
 TEST(CoordFlags, SteeringRequiresEpollLeader) {
-  // Default engine is the thread-per-connection runtime: rejected.
-  EXPECT_FALSE(coordf({"--coord-steering"}).error.empty());
-  EXPECT_FALSE(
-      coordf({"--coord-steering", "--engine=threads"}).error.empty());
+  // epoll is the only engine: steering no longer needs --engine.
+  EXPECT_TRUE(coordf({"--coord-steering"}).error.empty());
+  EXPECT_TRUE(
+      coordf({"--coord-steering", "--model-instances=4"}).error.empty());
   EXPECT_FALSE(coordf({"--coord-steering", "--engine=epoll",
                        "--role=follower"})
                    .error.empty());
@@ -303,4 +363,34 @@ TEST(CoordFlags, NumericBoundsEnforced) {
   // Malformed numerics are an error, not a silent default.
   EXPECT_FALSE(with("--coord-init-rate=fast").error.empty());
   EXPECT_FALSE(with("--coord-min-hint-ms=ten").error.empty());
+}
+
+// ------------------------------------------------------------ ShardFlags
+
+namespace {
+
+crowdml::tools::ShardFlags shardf(std::vector<std::string> args) {
+  return crowdml::tools::parse_shard_flags(parse(std::move(args)));
+}
+
+}  // namespace
+
+TEST(ShardFlags, MapWithoutEngineFlagAccepted) {
+  // epoll is the only engine: a shard leader no longer needs --engine.
+  const auto s = shardf({"--shard-map=h:1,h:2", "--shard-id=1",
+                         "--wal-dir=wal"});
+  EXPECT_TRUE(s.error.empty()) << s.error;
+  EXPECT_TRUE(s.enabled);
+  EXPECT_EQ(s.shard_id, 1u);
+  EXPECT_TRUE(shardf({"--shard-map=h:1", "--shard-id=0", "--wal-dir=wal",
+                      "--engine=epoll"})
+                  .error.empty());
+  // The refusals that remain are the real constraints.
+  EXPECT_FALSE(shardf({"--shard-map=h:1", "--shard-id=0"}).error.empty());
+  EXPECT_FALSE(shardf({"--shard-map=h:1", "--shard-id=0", "--wal-dir=wal",
+                       "--role=follower"})
+                   .error.empty());
+  EXPECT_NE(shardf({"--shard-map=h:1", "--shard-id=x", "--wal-dir=wal"})
+                .error.find("--shard-id"),
+            std::string::npos);
 }

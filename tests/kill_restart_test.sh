@@ -4,9 +4,10 @@
 #   (a) the restarted server recovers past iteration 0 from snapshot + WAL,
 #   (b) devices ride out the outage via ReconnectingDeviceSession,
 #   (c) training resumes and advances past the pre-crash iteration.
-# The whole scenario runs once per serving engine: the legacy
-# thread-per-connection runtime, and the epoll engine whose group commit
-# must uphold the same acked => durable contract under --fsync always.
+# The whole scenario runs once per fsync policy on the epoll engine:
+# --fsync every-8 (records written but not yet fsynced still survive a
+# SIGKILL through the page cache), and --fsync always, where group commit
+# must uphold acked => durable.
 # Run by ctest with the build directory as argument.
 set -eu
 BUILD_DIR="$1"
@@ -19,10 +20,10 @@ cd "$WORK"
     --shard-prefix dev_ --seed 42
 
 run_scenario() {
-  ENGINE="$1"
-  FSYNC="$2"
-  EXTRA="$3"
-  DIR="run_$ENGINE"
+  FSYNC="$1"
+  EXTRA="$2"
+  LABEL="epoll $FSYNC"
+  DIR="run_$FSYNC"
   mkdir "$DIR"
   cd "$DIR"
 
@@ -32,7 +33,7 @@ run_scenario() {
     # shellcheck disable=SC2086
     "$BUILD_DIR/tools/crowdml-server" --port "$1" --classes 10 --dim 50 \
         --enroll 2 --keys-out "$2" --auth-seed 7 \
-        --engine "$ENGINE" $EXTRA \
+        --engine epoll $EXTRA \
         --wal-dir wal --fsync "$FSYNC" --report-every 0.3 \
         --max-iterations 100000 >> "$3" 2>&1 &
     SERVER_PID=$!
@@ -46,9 +47,9 @@ run_scenario() {
     [ -n "$PORT" ] && break
     sleep 0.1
   done
-  [ -n "$PORT" ] || { echo "[$ENGINE] server did not start"; cat server1.log; exit 1; }
-  grep -q "^config: engine=$ENGINE " server1.log || {
-    echo "[$ENGINE] missing effective-config line"; cat server1.log; exit 1; }
+  [ -n "$PORT" ] || { echo "[$LABEL] server did not start"; cat server1.log; exit 1; }
+  grep -q "^config: engine=epoll " server1.log || {
+    echo "[$LABEL] missing effective-config line"; cat server1.log; exit 1; }
 
   # Devices with a generous retry budget: they must survive the restart
   # window (capped exponential backoff, checkins abandoned, never replayed).
@@ -73,7 +74,7 @@ run_scenario() {
     PRE=0
     sleep 0.1
   done
-  [ "$PRE" -ge 20 ] || { echo "[$ENGINE] training never took off"; cat server1.log; exit 1; }
+  [ "$PRE" -ge 20 ] || { echo "[$LABEL] training never took off"; cat server1.log; exit 1; }
   kill -9 $SERVER_PID
   wait $SERVER_PID 2>/dev/null || true
 
@@ -85,39 +86,39 @@ run_scenario() {
     [ -n "$RECOVERED" ] && break
     sleep 0.1
   done
-  [ -n "$RECOVERED" ] || { echo "[$ENGINE] no recovery line"; cat server2.log; exit 1; }
-  cmp -s keys.csv keys2.csv || { echo "[$ENGINE] re-enrolled keys differ"; exit 1; }
+  [ -n "$RECOVERED" ] || { echo "[$LABEL] no recovery line"; cat server2.log; exit 1; }
+  cmp -s keys.csv keys2.csv || { echo "[$LABEL] re-enrolled keys differ"; exit 1; }
 
   # The WAL must have carried training at least to the last report we saw
   # — with --fsync always this is exactly "no acked checkin lost".
   [ "$RECOVERED" -ge "$PRE" ] || {
-    echo "[$ENGINE] recovered iteration $RECOVERED behind last report $PRE"
+    echo "[$LABEL] recovered iteration $RECOVERED behind last report $PRE"
     cat server2.log; exit 1; }
 
-  wait $DEV1 || { echo "[$ENGINE] device 1 failed"; cat dev1.log; exit 1; }
-  wait $DEV2 || { echo "[$ENGINE] device 2 failed"; cat dev2.log; exit 1; }
+  wait $DEV1 || { echo "[$LABEL] device 1 failed"; cat dev1.log; exit 1; }
+  wait $DEV2 || { echo "[$LABEL] device 2 failed"; cat dev2.log; exit 1; }
   cat dev1.log dev2.log
 
   # At least one device had to reconnect across the crash window.
   RECONNECTS=$(sed -n 's/^transport: \([0-9]*\) reconnects.*/\1/p' dev1.log dev2.log |
       awk '{s+=$1} END {print s+0}')
-  [ "$RECONNECTS" -ge 1 ] || { echo "[$ENGINE] no device ever reconnected"; exit 1; }
+  [ "$RECONNECTS" -ge 1 ] || { echo "[$LABEL] no device ever reconnected"; exit 1; }
 
   # Training resumed: the restarted server moved past the recovered state.
   kill -TERM $SERVER_PID
   wait $SERVER_PID 2>/dev/null || true
   FINAL=$(sed -n 's/^iteration t: *\([0-9]*\).*/\1/p' server2.log | tail -1)
   [ -n "$FINAL" ] && [ "$FINAL" -gt "$RECOVERED" ] || {
-    echo "[$ENGINE] training did not resume (recovered $RECOVERED, final ${FINAL:-none})"
+    echo "[$LABEL] training did not resume (recovered $RECOVERED, final ${FINAL:-none})"
     cat server2.log; exit 1; }
   grep -q "durable state compacted" server2.log || {
-    echo "[$ENGINE] no final compaction"; cat server2.log; exit 1; }
-  ls wal/snapshot-*.bin >/dev/null 2>&1 || { echo "[$ENGINE] no snapshot on disk"; exit 1; }
+    echo "[$LABEL] no final compaction"; cat server2.log; exit 1; }
+  ls wal/snapshot-*.bin >/dev/null 2>&1 || { echo "[$LABEL] no snapshot on disk"; exit 1; }
 
-  echo "kill-restart [$ENGINE] OK (crashed at >=$PRE, recovered at $RECOVERED," \
+  echo "kill-restart [$LABEL] OK (crashed at >=$PRE, recovered at $RECOVERED," \
        "finished at $FINAL, $RECONNECTS reconnects)"
   cd ..
 }
 
-run_scenario threads every-8 ""
-run_scenario epoll always "--io-threads 2 --checkin-queue-max 256"
+run_scenario every-8 ""
+run_scenario always "--io-threads 2 --checkin-queue-max 256"

@@ -1,12 +1,13 @@
 // Socket-layer fault tolerance: deadlines against stalled and hostile
 // peers, connect taxonomy/resolution, the fault-injection proxy, and the
-// server's connection management (cap, idle reaper, worker reaping).
+// server's connection management (cap, idle sweep, connection release).
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <thread>
 
 #include "core/tcp_runtime.hpp"
+#include "engine/epoll_server.hpp"
 #include "net/fault_proxy.hpp"
 #include "net/tcp.hpp"
 #include "opt/schedule.hpp"
@@ -293,13 +294,16 @@ TEST(FaultProxy, CorruptionIsCaughtByFrameCrc) {
 TEST(TcpServer, RefusesBeyondMaxConnections) {
   auto server = make_learning_server(4, 2);
   net::AuthRegistry registry(rng::Engine(2));
-  core::TcpServerConfig cfg;
+  obs::MetricsRegistry reg;
+  engine::EngineConfig cfg;
+  cfg.metrics = &reg;
   cfg.max_connections = 2;
-  core::TcpCrowdServer tcp(server, registry, cfg);
+  engine::EpollCrowdServer tcp(server, registry, cfg);
 
   core::TcpDeviceSession a("127.0.0.1", tcp.port(), 5000, 2000);
   core::TcpDeviceSession b("127.0.0.1", tcp.port(), 5000, 2000);
-  // Park two real workers by completing one exchange on each.
+  // Occupy both slots by completing one exchange on each (an answered
+  // exchange means the event loop has adopted the connection).
   net::CheckoutRequest req;
   ASSERT_TRUE(a.exchange(net::encode_frame(net::MessageType::kCheckoutRequest,
                                            req.serialize()))
@@ -322,32 +326,32 @@ TEST(TcpServer, RefusesBeyondMaxConnections) {
   tcp.shutdown();
 }
 
+// The name predates the event-loop engine: "workers reaped" is now the
+// swept connection's resources being released (connections() back to 0).
 TEST(TcpServer, IdleConnectionsAreClosedAndWorkersReaped) {
   auto server = make_learning_server(4, 2);
   net::AuthRegistry registry(rng::Engine(2));
-  core::TcpServerConfig cfg;
+  obs::MetricsRegistry reg;
+  engine::EngineConfig cfg;
+  cfg.metrics = &reg;
   cfg.idle_timeout_ms = 100;
-  core::TcpCrowdServer tcp(server, registry, cfg);
+  engine::EpollCrowdServer tcp(server, registry, cfg);
 
-  // An idle device is disconnected by the server's deadline...
+  // An idle device is disconnected by the server's idle sweep...
   auto idle = TcpConnection::connect("127.0.0.1", tcp.port(), 2000);
   ASSERT_TRUE(idle.has_value());
   idle->set_deadline_ms(3000);
   EXPECT_FALSE(idle->recv_frame().has_value());  // server closes; EOF here
   EXPECT_EQ(idle->last_error(), NetError::kClosed);
 
-  // ...and the next accept reaps the finished worker.
+  // ...counted, and its connection slot released. The sweep closes the
+  // socket before it counts, so the EOF above can beat the counter.
   const auto deadline = Clock::now() + std::chrono::seconds(5);
-  long long reaped = 0;
-  while (Clock::now() < deadline) {
-    auto poke = TcpConnection::connect("127.0.0.1", tcp.port(), 2000);
-    ASSERT_TRUE(poke.has_value());
-    reaped = tcp.net_snapshot().reaped_workers;
-    if (reaped >= 1) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  EXPECT_GE(reaped, 1);
+  while ((tcp.net_snapshot().idle_closed == 0 || tcp.connections() > 0) &&
+         Clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_GE(tcp.net_snapshot().idle_closed, 1);
+  EXPECT_EQ(tcp.connections(), 0u);
 
   tcp.shutdown();
 }
@@ -357,9 +361,9 @@ TEST(TcpServer, IdleConnectionsAreClosedAndWorkersReaped) {
 TEST(ReconnectingSession, SurvivesServerSideDisconnects) {
   auto server = make_learning_server(4, 2);
   net::AuthRegistry registry(rng::Engine(2));
-  core::TcpServerConfig cfg;
+  engine::EngineConfig cfg;
   cfg.idle_timeout_ms = 80;  // aggressively hang up on idle devices
-  core::TcpCrowdServer tcp(server, registry, cfg);
+  engine::EpollCrowdServer tcp(server, registry, cfg);
 
   const auto creds = registry.enroll();
   net::CheckoutRequest req;

@@ -1,12 +1,13 @@
-// End-to-end integration over real localhost TCP: a TcpCrowdServer and a
-// fleet of device threads learning a classifier with privacy, exactly the
-// deployment path of examples/tcp_crowd.
+// End-to-end integration over real localhost TCP: the serving engine and
+// a fleet of device threads learning a classifier with privacy, exactly
+// the deployment path of examples/tcp_crowd.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 
 #include "core/tcp_runtime.hpp"
+#include "engine/epoll_server.hpp"
 #include "data/mixture.hpp"
 #include "models/logistic_regression.hpp"
 #include "opt/schedule.hpp"
@@ -42,7 +43,8 @@ TEST(TcpIntegration, CrowdLearnsOverLocalhost) {
                           std::make_unique<opt::SqrtDecaySchedule>(30.0), 500.0),
                       rng::Engine(1));
   net::AuthRegistry registry(rng::Engine(2));
-  core::TcpCrowdServer tcp_server(server, registry, 0);
+  engine::EpollCrowdServer tcp_server(server, registry,
+                                      engine::EngineConfig{});
   const std::uint16_t port = tcp_server.port();
 
   constexpr std::size_t kDevices = 6;
@@ -88,7 +90,8 @@ TEST(TcpIntegration, UnauthenticatedClientRejected) {
                           std::make_unique<opt::ConstantSchedule>(0.1), 100.0),
                       rng::Engine(1));
   net::AuthRegistry registry(rng::Engine(2));
-  core::TcpCrowdServer tcp_server(server, registry, 0);
+  engine::EpollCrowdServer tcp_server(server, registry,
+                                      engine::EngineConfig{});
 
   core::TcpDeviceSession session("127.0.0.1", tcp_server.port());
   net::CheckoutRequest req;
@@ -111,7 +114,8 @@ TEST(TcpIntegration, GarbageBytesDoNotCrashServer) {
                           std::make_unique<opt::ConstantSchedule>(0.1), 100.0),
                       rng::Engine(1));
   net::AuthRegistry registry(rng::Engine(2));
-  core::TcpCrowdServer tcp_server(server, registry, 0);
+  engine::EpollCrowdServer tcp_server(server, registry,
+                                      engine::EngineConfig{});
 
   // A frame with valid framing but corrupt payload -> nack, connection
   // stays usable.
@@ -144,8 +148,8 @@ TEST(TcpIntegration, ShutdownIsIdempotentAndUnblocksClients) {
                           std::make_unique<opt::ConstantSchedule>(0.1), 100.0),
                       rng::Engine(1));
   net::AuthRegistry registry(rng::Engine(2));
-  auto tcp_server =
-      std::make_unique<core::TcpCrowdServer>(server, registry, 0);
+  auto tcp_server = std::make_unique<engine::EpollCrowdServer>(
+      server, registry, engine::EngineConfig{});
   // Client connects but never sends; shutdown must not hang.
   core::TcpDeviceSession idle("127.0.0.1", tcp_server->port());
   tcp_server->shutdown();

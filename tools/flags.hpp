@@ -2,17 +2,24 @@
 // Supports --name=value and --name value forms plus boolean --name.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "coord/device_class.hpp"
 #include "shard/shard_map.hpp"
 
 namespace crowdml::tools {
+
+/// A malformed flag value; what() names the flag.
+struct FlagError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
 
 class Flags {
  public:
@@ -40,14 +47,28 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
 
+  /// Numeric getters throw FlagError naming the flag when the value is
+  /// not a whole number of the requested kind.
   long long get_int(const std::string& name, long long fallback) const {
     const auto it = values_.find(name);
-    return it == values_.end() ? fallback : std::stoll(it->second);
+    return it == values_.end() ? fallback
+                               : parse_number<long long>(name, it->second);
   }
 
   double get_double(const std::string& name, double fallback) const {
     const auto it = values_.find(name);
-    return it == values_.end() ? fallback : std::stod(it->second);
+    return it == values_.end() ? fallback
+                               : parse_number<double>(name, it->second);
+  }
+
+  /// A TCP port (0 = ephemeral); FlagError outside 0-65535 rather than a
+  /// silent wrap through the uint16_t cast.
+  std::uint16_t get_port(const std::string& name) const {
+    const long long port = get_int(name, 0);
+    if (port < 0 || port > 65535)
+      throw FlagError("--" + name + " must be in 0-65535, got " +
+                      std::to_string(port));
+    return static_cast<std::uint16_t>(port);
   }
 
   bool get_bool(const std::string& name, bool fallback = false) const {
@@ -57,6 +78,16 @@ class Flags {
   }
 
  private:
+  template <typename T>
+  static T parse_number(const std::string& name, const std::string& text) {
+    T value{};
+    const char* end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || stop != end)
+      throw FlagError("--" + name + " expects a number, got '" + text + "'");
+    return value;
+  }
+
   std::map<std::string, std::string> values_;
 };
 
@@ -111,19 +142,23 @@ inline ReplicaFlags parse_replica_flags(const Flags& flags) {
   r.role = flags.get("role", "leader");
   r.ack_mode = flags.get("repl-ack", "none");
   r.epoch_dir = flags.get("epoch-dir", "");
-  r.followers = flags.get_int("repl-followers", 2);
   r.promote_on_start = flags.get_bool("promote-on-start");
-  r.repl_port = static_cast<std::uint16_t>(flags.get_int("repl-port", 0));
   r.leader_addr = flags.get("leader-addr", "");
-  r.lease_ms = flags.get_int("lease-ms", 1000);
-  r.election_timeout_ms = flags.get_int("election-timeout-ms", 0);
   r.peers = flags.get("peers", "");
-  r.vote_port = static_cast<std::uint16_t>(flags.get_int("vote-port", 0));
-  r.max_read_lag = flags.get_int("max-read-lag", 0);
   r.repl_key_file = flags.get("repl-key-file", "");
   r.advertise_host = flags.get("advertise-host", "127.0.0.1");
+  try {
+    r.followers = flags.get_int("repl-followers", 2);
+    r.repl_port = flags.get_port("repl-port");
+    r.lease_ms = flags.get_int("lease-ms", 1000);
+    r.election_timeout_ms = flags.get_int("election-timeout-ms", 0);
+    r.vote_port = flags.get_port("vote-port");
+    r.max_read_lag = flags.get_int("max-read-lag", 0);
+  } catch (const FlagError& e) {
+    r.error = e.what();
+    return r;
+  }
   const std::string wal_dir = flags.get("wal-dir", "");
-  const std::string engine = flags.get("engine", "threads");
 
   if (r.role != "leader" && r.role != "follower") {
     r.error = "unknown --role " + r.role + " (leader|follower)";
@@ -165,11 +200,6 @@ inline ReplicaFlags parse_replica_flags(const Flags& flags) {
     r.leader_port = static_cast<std::uint16_t>(port);
     if (wal_dir.empty()) {
       r.error = "--role follower requires --wal-dir (the replica's log)";
-      return r;
-    }
-    if (engine != "epoll") {
-      r.error = "--role follower requires --engine epoll (snapshot-board "
-                "checkouts)";
       return r;
     }
     if (flags.has("repl-ack") || flags.has("repl-port") ||
@@ -229,11 +259,6 @@ inline ReplicaFlags parse_replica_flags(const Flags& flags) {
               "buffer)";
     return r;
   }
-  if (r.repl_enabled && engine != "epoll") {
-    r.error = "replication requires --engine epoll (the shipping watermark "
-              "advances on the group-commit path)";
-    return r;
-  }
   if (r.ack_mode == "quorum" && r.followers < 1) {
     r.error = "--repl-ack quorum requires --repl-followers >= 1";
     return r;
@@ -256,7 +281,7 @@ inline ReplicaFlags parse_replica_flags(const Flags& flags) {
 ///                                      first measured commit, checkins/s,
 ///                                      default 2000)
 /// Every --coord-* flag other than --coord-steering requires steering to
-/// be enabled; steering requires --engine epoll and a leader role. With
+/// be enabled; steering requires a leader role. With
 /// --model-instances k > 1 each instance's applier owns its own
 /// Coordinator (k independent per-class pacing clocks — the clock must
 /// live where the commits it measures happen; see docs/SCALING.md).
@@ -282,8 +307,8 @@ inline CoordFlags parse_coord_flags(const Flags& flags) {
     c.min_hint_ms = flags.get_int("coord-min-hint-ms", c.min_hint_ms);
     c.max_hint_ms = flags.get_int("coord-max-hint-ms", c.max_hint_ms);
     c.init_rate = flags.get_double("coord-init-rate", c.init_rate);
-  } catch (const std::exception&) {
-    c.error = "malformed numeric value in a --coord-* flag";
+  } catch (const FlagError& e) {
+    c.error = e.what();
     return c;
   }
 
@@ -299,11 +324,6 @@ inline CoordFlags parse_coord_flags(const Flags& flags) {
     return c;
   }
 
-  if (flags.get("engine", "threads") != "epoll") {
-    c.error = "--coord-steering requires --engine epoll (hints ride the "
-              "snapshot board and the applier's ack path)";
-    return c;
-  }
   if (flags.get("role", "leader") == "follower") {
     c.error = "--coord-steering is a leader feature (a follower refuses "
               "checkins, so it has no applier to steer toward)";
@@ -367,8 +387,8 @@ inline SecAggFlags parse_secagg_flags(const Flags& flags) {
     s.cohort = flags.get_int("secagg-cohort", 0);
     s.min_survivors = flags.get_int("secagg-min-survivors", 2);
     s.round_timeout_ms = flags.get_int("secagg-round-timeout-ms", 2000);
-  } catch (const std::exception&) {
-    s.error = "malformed numeric value in a --secagg-* flag";
+  } catch (const FlagError& e) {
+    s.error = e.what();
     return s;
   }
   s.key_file = flags.get("secagg-key-file", "");
@@ -413,7 +433,7 @@ inline SecAggFlags parse_secagg_flags(const Flags& flags) {
 ///                                 every N ms; 0/absent = no director
 ///                                 here. Exactly one process per cluster
 ///                                 should set it — by convention shard 0)
-/// Sharding requires --engine epoll, a leader role, --model-instances 1
+/// Sharding requires a leader role, --model-instances 1
 /// (a shard leader is the plain single-applier stack), and --wal-dir
 /// (the merge plane's "acked => durable" rides the WAL). `error` is
 /// non-empty when the combination is invalid.
@@ -436,8 +456,8 @@ inline ShardFlags parse_shard_flags(const Flags& flags) {
     shard_id = flags.get_int("shard-id", 0);
     shards = flags.get_int("shards", -1);
     merge_ms = flags.get_int("shard-merge-ms", 0);
-  } catch (const std::exception&) {
-    s.error = "malformed numeric value in a --shard-* flag";
+  } catch (const FlagError& e) {
+    s.error = e.what();
     return s;
   }
 
@@ -479,11 +499,6 @@ inline ShardFlags parse_shard_flags(const Flags& flags) {
     return s;
   }
   s.merge_ms = merge_ms;
-  if (flags.get("engine", "threads") != "epoll") {
-    s.error = "--shard-map requires --engine epoll (the wrong-shard gate "
-              "and merge plane live on its I/O and applier threads)";
-    return s;
-  }
   if (flags.get("role", "leader") != "leader") {
     s.error = "--shard-map is a leader flag (a shard's followers are "
               "plain followers of that shard's leader and need no map)";
