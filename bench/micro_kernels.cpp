@@ -6,6 +6,7 @@
 #include "core/server.hpp"
 #include "linalg/pca.hpp"
 #include "models/logistic_regression.hpp"
+#include "net/checksum.hpp"
 #include "net/messages.hpp"
 #include "net/sha256.hpp"
 #include "opt/schedule.hpp"
@@ -109,6 +110,22 @@ static void BM_HmacCheckinBody(benchmark::State& state) {
                           static_cast<int64_t>(body.size()));
 }
 BENCHMARK(BM_HmacCheckinBody);
+
+// Integrity: one CRC-32 pass over a whole checkin payload (4156 B at the
+// paper's 10 x 50 model); frame encode, frame decode and WAL encode each
+// make one.
+static void BM_Crc32_Checkin(benchmark::State& state) {
+  rng::Engine eng(8);
+  net::CheckinMessage m;
+  m.g_hat = make_params(eng, kClasses * kDim);
+  m.ny_hat.assign(kClasses, 2);
+  const net::Bytes payload = m.serialize();
+  for (auto _ : state)
+    benchmark::DoNotOptimize(net::crc32(payload.data(), payload.size()));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(payload.size()));
+}
+BENCHMARK(BM_Crc32_Checkin);
 
 static void BM_Sha256_1KiB(benchmark::State& state) {
   std::vector<std::uint8_t> data(1024, 0xAB);

@@ -6,11 +6,16 @@ net::Bytes ProtocolServer::handle(const net::Bytes& request_frame,
                                   std::uint8_t* device_class) {
   using net::MessageType;
   try {
-    const net::Frame frame = net::decode_frame(request_frame);
+    // The payload stays a view into the request frame: tags are checked
+    // over the body bytes as they arrived, and a checkin's payload is
+    // what the WAL logs.
+    const net::FrameView frame = net::decode_frame_view(request_frame);
     switch (frame.type) {
       case MessageType::kCheckoutRequest: {
         const auto req = net::CheckoutRequest::deserialize(frame.payload);
-        if (!auth_.verify(req.device_id, req.body(), req.auth_tag)) {
+        if (!auth_.verify(req.device_id,
+                          net::CheckoutRequest::signed_body(frame.payload),
+                          req.auth_tag)) {
           ++auth_failures_;
           if (trace_)
             trace_->event("auth_failed", {{"device", req.device_id},
@@ -28,7 +33,9 @@ net::Bytes ProtocolServer::handle(const net::Bytes& request_frame,
       }
       case MessageType::kCheckin: {
         const auto msg = net::CheckinMessage::deserialize(frame.payload);
-        if (!auth_.verify(msg.device_id, msg.body(), msg.auth_tag)) {
+        if (!auth_.verify(msg.device_id,
+                          net::CheckinMessage::signed_body(frame.payload),
+                          msg.auth_tag)) {
           ++auth_failures_;
           if (trace_)
             trace_->event("auth_failed", {{"device", msg.device_id},
@@ -42,7 +49,7 @@ net::Bytes ProtocolServer::handle(const net::Bytes& request_frame,
                                     {"round", msg.param_version},
                                     {"ns", msg.ns}});
         const std::uint64_t version_before = server_.version();
-        const net::AckMessage ack = server_.handle_checkin(msg);
+        const net::AckMessage ack = server_.handle_checkin(msg, frame.payload);
         if (trace_) {
           if (ack.ok) {
             // version_before >= param_version: the gradient was computed
@@ -121,14 +128,16 @@ net::Bytes ProtocolServer::handle(const net::Bytes& request_frame,
           const net::AckMessage nack{false, "sharding disabled"};
           return net::encode_frame(MessageType::kAck, nack.serialize());
         }
-        return shard_->handle_shard_pull(frame.payload);
+        return shard_->handle_shard_pull(
+            net::Bytes(frame.payload.begin(), frame.payload.end()));
       }
       case MessageType::kShardMergePush: {
         if (!shard_) {
           const net::AckMessage nack{false, "sharding disabled"};
           return net::encode_frame(MessageType::kAck, nack.serialize());
         }
-        return shard_->handle_shard_merge_push(frame.payload);
+        return shard_->handle_shard_merge_push(
+            net::Bytes(frame.payload.begin(), frame.payload.end()));
       }
       default: {
         ++malformed_;

@@ -29,7 +29,8 @@ net::ParamsMessage Server::handle_checkout(std::uint64_t /*device_id*/) {
   return msg;
 }
 
-net::AckMessage Server::handle_checkin(const net::CheckinMessage& msg) {
+net::AckMessage Server::handle_checkin(const net::CheckinMessage& msg,
+                                       net::ByteSpan payload) {
   std::lock_guard lock(mu_);
   if (stopping_criteria_met_locked())
     return {false, "learning stopped"};
@@ -74,7 +75,7 @@ net::AckMessage Server::handle_checkin(const net::CheckinMessage& msg) {
 
   updater_->apply(w_, msg.g_hat);  // w = w - eta(t) g^ (+ projection)
   ++version_;
-  if (applied_hook_ && !applied_hook_(msg, version_))
+  if (applied_hook_ && !applied_hook_(msg, payload, version_))
     return {false, "durability failure"};
   return {true, ""};
 }

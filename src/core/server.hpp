@@ -55,7 +55,11 @@ class Server {
   net::ParamsMessage handle_checkout(std::uint64_t device_id);
 
   /// Server Routine 2: validate, record stats, apply the update.
-  net::AckMessage handle_checkin(const net::CheckinMessage& msg);
+  /// `payload`, when the caller holds it, is the encoded checkin `msg`
+  /// was deserialized from; it is handed to the applied hook so a
+  /// durability layer can log those bytes instead of re-serializing.
+  net::AckMessage handle_checkin(const net::CheckinMessage& msg,
+                                 net::ByteSpan payload = {});
 
   /// Snapshot of the current parameters (copy; thread-safe).
   linalg::Vector parameters() const;
@@ -97,8 +101,10 @@ class Server {
   std::uint64_t overwrite_parameters(const linalg::Vector& w);
 
   /// Durability hook, invoked under the state lock after every applied
-  /// checkin — in version order, with the message and the iteration it
-  /// produced — and before the ack is returned. A durability layer (see
+  /// checkin — in version order, with the message, its encoded payload
+  /// (empty when handle_checkin's caller did not supply it; then
+  /// msg.serialize() is the same bytes) and the iteration it produced —
+  /// and before the ack is returned. A durability layer (see
   /// store::DurableStore) appends the record to its write-ahead log here,
   /// so an ack only ever leaves for a persisted update. Returning false
   /// turns the ack into a nack ("durability failure"): the update stays
@@ -106,7 +112,8 @@ class Server {
   /// when it is not. The hook must not call back into the server and must
   /// not throw.
   using AppliedHook =
-      std::function<bool(const net::CheckinMessage& msg, std::uint64_t version)>;
+      std::function<bool(const net::CheckinMessage& msg, net::ByteSpan payload,
+                         std::uint64_t version)>;
   void set_applied_hook(AppliedHook hook);
 
   /// Checkins rejected by validation (bad dimension / non-finite values).

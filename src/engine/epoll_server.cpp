@@ -149,9 +149,11 @@ void EpollCrowdServer::on_frame(EventLoop* loop, std::uint64_t conn_id,
       frame[net::kFrameTypeOffset] ==
           static_cast<std::uint8_t>(net::MessageType::kCheckoutRequest)) {
     try {
-      const net::Frame f = net::decode_frame(frame);
+      const net::FrameView f = net::decode_frame_view(frame);
       const auto req = net::CheckoutRequest::deserialize(f.payload);
-      if (auth_.verify(req.device_id, req.body(), req.auth_tag)) {
+      if (auth_.verify(req.device_id,
+                       net::CheckoutRequest::signed_body(f.payload),
+                       req.auth_tag)) {
         // Bounded-staleness replica reads: refuse (with a machine-
         // readable retry hint) rather than serve parameters that lag the
         // leader's committed watermark past the configured bound.

@@ -31,8 +31,7 @@ void ModelSnapshotBoard::publish(const core::Server& server) {
   if (msg.accepted) msg.w = server.parameters();
   snap->version = msg.version;
   snap->accepted = msg.accepted;
-  snap->params_frame =
-      net::encode_frame(net::MessageType::kParams, msg.serialize());
+  snap->params_frame = msg.to_frame();
   snap->published_at = std::chrono::steady_clock::now();
   current_.store(std::move(snap), std::memory_order_release);
   ++publishes_;

@@ -27,12 +27,16 @@ void AuthRegistry::revoke(std::uint64_t device_id) {
   keys_.erase(device_id);
 }
 
-bool AuthRegistry::verify(std::uint64_t device_id, const Bytes& body,
+bool AuthRegistry::verify(std::uint64_t device_id, ByteSpan body,
                           const Digest& tag) const {
-  std::lock_guard lock(mu_);
-  const auto it = keys_.find(device_id);
-  if (it == keys_.end()) return false;
-  return digest_equal(hmac_sha256(it->second, body), tag);
+  SecretKey key;
+  {
+    std::lock_guard lock(mu_);
+    const auto it = keys_.find(device_id);
+    if (it == keys_.end()) return false;
+    key = it->second;
+  }
+  return digest_equal(hmac_sha256(key, body, {}), tag);
 }
 
 std::size_t AuthRegistry::enrolled_count() const {

@@ -39,8 +39,14 @@ class AuthRegistry {
   /// Remove a device (it can no longer check out or in).
   void revoke(std::uint64_t device_id);
 
-  /// Verify a tag over `body` claimed by `device_id`.
-  bool verify(std::uint64_t device_id, const Bytes& body, const Digest& tag) const;
+  /// Verify a tag over `body` claimed by `device_id`. The HMAC runs
+  /// outside the registry lock, so concurrent verifies never wait on
+  /// each other's hashing.
+  bool verify(std::uint64_t device_id, ByteSpan body, const Digest& tag) const;
+  bool verify(std::uint64_t device_id, const Bytes& body,
+              const Digest& tag) const {
+    return verify(device_id, ByteSpan(body), tag);
+  }
 
   std::size_t enrolled_count() const;
 

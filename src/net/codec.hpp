@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 namespace crowdml::net {
 
 using Bytes = std::vector<std::uint8_t>;
+using ByteSpan = std::span<const std::uint8_t>;
 
 class CodecError : public std::runtime_error {
  public:
@@ -24,6 +26,11 @@ class CodecError : public std::runtime_error {
 
 class Writer {
  public:
+  Writer() = default;
+  /// Reserve room for `size_hint` bytes up front, so an encoder that
+  /// knows its output size allocates once.
+  explicit Writer(std::size_t size_hint) { buf_.reserve(size_hint); }
+
   void put_u8(std::uint8_t v);
   void put_u32(std::uint32_t v);
   void put_u64(std::uint64_t v);
@@ -34,6 +41,7 @@ class Writer {
   void put_vector(const linalg::Vector& v);  // length-prefixed (u32) f64s
   void put_i64_vector(const std::vector<std::int64_t>& v);
   void put_u64_vector(const std::vector<std::uint64_t>& v);
+  void put_raw(ByteSpan b);                  // no length prefix
 
   const Bytes& bytes() const { return buf_; }
   Bytes take() { return std::move(buf_); }
@@ -44,7 +52,7 @@ class Writer {
 
 class Reader {
  public:
-  explicit Reader(const Bytes& buf) : buf_(buf) {}
+  explicit Reader(ByteSpan buf) : buf_(buf) {}
 
   std::uint8_t get_u8();
   std::uint32_t get_u32();
@@ -52,6 +60,8 @@ class Reader {
   std::int64_t get_i64();
   double get_f64();
   Bytes get_bytes();
+  /// A length-prefixed (u32) bytes field as a view into the input.
+  ByteSpan get_bytes_view();
   std::string get_string();
   linalg::Vector get_vector();
   std::vector<std::int64_t> get_i64_vector();
@@ -63,7 +73,7 @@ class Reader {
  private:
   void need(std::size_t n) const;
 
-  const Bytes& buf_;
+  ByteSpan buf_;
   std::size_t pos_ = 0;
 };
 

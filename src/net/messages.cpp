@@ -1,8 +1,5 @@
 #include "net/messages.hpp"
 
-#include <algorithm>
-#include <cstring>
-
 #include "net/checksum.hpp"
 #include "obs/profile.hpp"
 
@@ -28,14 +25,54 @@ obs::Histogram& decode_seconds() {
   return h;
 }
 
-void put_digest(Writer& w, const Digest& d) {
-  for (std::uint8_t b : d) w.put_u8(b);
-}
+void put_digest(Writer& w, const Digest& d) { w.put_raw(d); }
 
 Digest get_digest(Reader& r) {
   Digest d;
   for (auto& b : d) b = r.get_u8();
   return d;
+}
+
+// A Writer sized for a whole frame of `payload_size` bytes, with the
+// header already written; the caller writes the payload and hands it to
+// finish_frame for the CRC.
+Writer begin_frame(MessageType type, std::size_t payload_size) {
+  if (payload_size > UINT32_MAX) throw CodecError("frame payload too long");
+  Writer w(kFrameHeaderSize + payload_size + kFrameTrailerSize);
+  w.put_raw(kMagic);
+  w.put_u8(static_cast<std::uint8_t>(type));
+  w.put_u32(static_cast<std::uint32_t>(payload_size));
+  return w;
+}
+
+Bytes finish_frame(Writer& w) {
+  // CRC over type + len + payload (everything after the magic).
+  const Bytes& b = w.bytes();
+  w.put_u32(crc32(b.data() + kFrameMagicSize, b.size() - kFrameMagicSize));
+  return w.take();
+}
+
+FrameView decode_view(ByteSpan buffer) {
+  if (buffer.size() < kFrameHeaderSize + kFrameTrailerSize)
+    throw CodecError("frame too short");
+  for (std::size_t i = 0; i < kFrameMagicSize; ++i)
+    if (buffer[i] != kMagic[i]) throw CodecError("bad frame magic");
+
+  Reader header(buffer.subspan(kFrameLenOffset, 4));
+  const std::uint32_t len = header.get_u32();
+  if (buffer.size() != kFrameHeaderSize + len + kFrameTrailerSize)
+    throw CodecError("frame length mismatch");
+
+  const std::size_t crc_off = kFrameHeaderSize + len;
+  Reader trailer(buffer.subspan(crc_off, kFrameTrailerSize));
+  const std::uint32_t stated_crc = trailer.get_u32();
+  const std::uint32_t actual_crc =
+      crc32(buffer.data() + kFrameMagicSize, crc_off - kFrameMagicSize);
+  if (stated_crc != actual_crc) throw CodecError("frame crc mismatch");
+
+  const std::uint8_t type = buffer[kFrameTypeOffset];
+  if (type < 1 || type > kMaxMessageType) throw CodecError("unknown frame type");
+  return {static_cast<MessageType>(type), buffer.subspan(kFrameHeaderSize, len)};
 }
 
 }  // namespace
@@ -51,14 +88,18 @@ Bytes CheckoutRequest::body() const {
 }
 
 Bytes CheckoutRequest::serialize() const {
-  Writer w;
-  const Bytes b = body();
-  for (std::uint8_t byte : b) w.put_u8(byte);
+  Writer w(sizeof(device_id) + 1 + sizeof(Digest));
+  w.put_raw(body());
   put_digest(w, auth_tag);
   return w.take();
 }
 
-CheckoutRequest CheckoutRequest::deserialize(const Bytes& payload) {
+ByteSpan CheckoutRequest::signed_body(ByteSpan payload) {
+  if (payload.size() < sizeof(Digest)) throw CodecError("truncated message");
+  return payload.first(payload.size() - sizeof(Digest));
+}
+
+CheckoutRequest CheckoutRequest::deserialize(ByteSpan payload) {
   Reader r(payload);
   CheckoutRequest m;
   m.device_id = r.get_u64();
@@ -75,18 +116,34 @@ CheckoutRequest CheckoutRequest::deserialize(const Bytes& payload) {
   return m;
 }
 
-Bytes ParamsMessage::serialize() const {
-  Writer w;
-  w.put_u64(version);
-  w.put_u8(accepted ? 1 : 0);
-  w.put_vector(this->w);
-  // Optional trailing field: omitted when 0 so a hint-free message stays
-  // byte-identical to the pre-coordinator encoding.
-  if (next_checkin_hint_ms != 0) w.put_u32(next_checkin_hint_ms);
-  return w.take();
+std::size_t ParamsMessage::payload_size() const {
+  return sizeof(version) + 1 + sizeof(std::uint32_t) + 8 * w.size() +
+         (next_checkin_hint_ms != 0 ? sizeof(next_checkin_hint_ms) : 0);
 }
 
-ParamsMessage ParamsMessage::deserialize(const Bytes& payload) {
+void ParamsMessage::write(Writer& out) const {
+  out.put_u64(version);
+  out.put_u8(accepted ? 1 : 0);
+  out.put_vector(w);
+  // Optional trailing field: omitted when 0 so a hint-free message stays
+  // byte-identical to the pre-coordinator encoding.
+  if (next_checkin_hint_ms != 0) out.put_u32(next_checkin_hint_ms);
+}
+
+Bytes ParamsMessage::serialize() const {
+  Writer out(payload_size());
+  write(out);
+  return out.take();
+}
+
+Bytes ParamsMessage::to_frame() const {
+  obs::TimedScope timer(encode_seconds());
+  Writer out = begin_frame(MessageType::kParams, payload_size());
+  write(out);
+  return finish_frame(out);
+}
+
+ParamsMessage ParamsMessage::deserialize(ByteSpan payload) {
   Reader r(payload);
   ParamsMessage m;
   m.version = r.get_u64();
@@ -97,8 +154,14 @@ ParamsMessage ParamsMessage::deserialize(const Bytes& payload) {
   return m;
 }
 
-Bytes CheckinMessage::body() const {
-  Writer w;
+std::size_t CheckinMessage::body_size() const {
+  return sizeof(device_id) + sizeof(param_version) + sizeof(std::uint32_t) +
+         8 * g_hat.size() + sizeof(ns) + sizeof(ne_hat) +
+         sizeof(std::uint32_t) + 8 * ny_hat.size() +
+         (device_class != kDefaultDeviceClass ? 1 : 0);
+}
+
+void CheckinMessage::write_body(Writer& w) const {
   w.put_u64(device_id);
   w.put_u64(param_version);
   w.put_vector(g_hat);
@@ -109,20 +172,33 @@ Bytes CheckinMessage::body() const {
   // encoded (see kDefaultDeviceClass), keeping default-class bodies —
   // and their tags — byte-identical to the pre-device-class format.
   if (device_class != kDefaultDeviceClass) w.put_u8(device_class);
+}
+
+Bytes CheckinMessage::body() const {
+  Writer w(body_size());
+  write_body(w);
   return w.take();
 }
 
 Bytes CheckinMessage::serialize() const {
-  Writer w;
-  Bytes b = body();
-  w.put_bytes(b);
+  // [u32 body_len][body][tag], written straight into one buffer.
+  const std::size_t n = body_size();
+  if (n > kMaxFieldLength) throw CodecError("bytes field too long");
+  Writer w(sizeof(std::uint32_t) + n + sizeof(Digest));
+  w.put_u32(static_cast<std::uint32_t>(n));
+  write_body(w);
   put_digest(w, auth_tag);
   return w.take();
 }
 
-CheckinMessage CheckinMessage::deserialize(const Bytes& payload) {
+ByteSpan CheckinMessage::signed_body(ByteSpan payload) {
+  Reader r(payload);
+  return r.get_bytes_view();
+}
+
+CheckinMessage CheckinMessage::deserialize(ByteSpan payload) {
   Reader outer(payload);
-  const Bytes b = outer.get_bytes();
+  const ByteSpan b = outer.get_bytes_view();
   const Digest tag = get_digest(outer);
   if (!outer.exhausted()) throw CodecError("trailing bytes in CheckinMessage");
 
@@ -154,7 +230,7 @@ Bytes AckMessage::serialize() const {
   return w.take();
 }
 
-AckMessage AckMessage::deserialize(const Bytes& payload) {
+AckMessage AckMessage::deserialize(ByteSpan payload) {
   Reader r(payload);
   AckMessage m;
   m.ok = r.get_u8() != 0;
@@ -175,7 +251,7 @@ Bytes ReplHelloMessage::serialize() const {
   return w.take();
 }
 
-ReplHelloMessage ReplHelloMessage::deserialize(const Bytes& payload) {
+ReplHelloMessage ReplHelloMessage::deserialize(ByteSpan payload) {
   Reader r(payload);
   ReplHelloMessage m;
   m.follower_id = r.get_u64();
@@ -199,7 +275,7 @@ Bytes ReplSnapshotMessage::serialize() const {
   return w.take();
 }
 
-ReplSnapshotMessage ReplSnapshotMessage::deserialize(const Bytes& payload) {
+ReplSnapshotMessage ReplSnapshotMessage::deserialize(ByteSpan payload) {
   Reader r(payload);
   ReplSnapshotMessage m;
   m.epoch = r.get_u64();
@@ -228,7 +304,7 @@ Bytes ReplAppendMessage::serialize() const {
   return w.take();
 }
 
-ReplAppendMessage ReplAppendMessage::deserialize(const Bytes& payload) {
+ReplAppendMessage ReplAppendMessage::deserialize(ByteSpan payload) {
   Reader r(payload);
   ReplAppendMessage m;
   m.epoch = r.get_u64();
@@ -254,7 +330,7 @@ Bytes ReplAckMessage::serialize() const {
   return w.take();
 }
 
-ReplAckMessage ReplAckMessage::deserialize(const Bytes& payload) {
+ReplAckMessage ReplAckMessage::deserialize(ByteSpan payload) {
   Reader r(payload);
   ReplAckMessage m;
   m.epoch = r.get_u64();
@@ -272,7 +348,7 @@ Bytes ReplHeartbeatMessage::serialize() const {
   return w.take();
 }
 
-ReplHeartbeatMessage ReplHeartbeatMessage::deserialize(const Bytes& payload) {
+ReplHeartbeatMessage ReplHeartbeatMessage::deserialize(ByteSpan payload) {
   Reader r(payload);
   ReplHeartbeatMessage m;
   m.epoch = r.get_u64();
@@ -296,7 +372,7 @@ Bytes ReplVoteMessage::serialize() const {
   return w.take();
 }
 
-ReplVoteMessage ReplVoteMessage::deserialize(const Bytes& payload) {
+ReplVoteMessage ReplVoteMessage::deserialize(ByteSpan payload) {
   Reader r(payload);
   ReplVoteMessage m;
   m.request = r.get_u8() != 0;
@@ -339,7 +415,7 @@ Bytes SecAggAssignMessage::serialize() const {
   return w.take();
 }
 
-SecAggAssignMessage SecAggAssignMessage::deserialize(const Bytes& payload) {
+SecAggAssignMessage SecAggAssignMessage::deserialize(ByteSpan payload) {
   Reader r(payload);
   SecAggAssignMessage m;
   m.request = r.get_u8() != 0;
@@ -389,9 +465,9 @@ Bytes SecAggMaskedMessage::serialize() const {
   return w.take();
 }
 
-SecAggMaskedMessage SecAggMaskedMessage::deserialize(const Bytes& payload) {
+SecAggMaskedMessage SecAggMaskedMessage::deserialize(ByteSpan payload) {
   Reader outer(payload);
-  const Bytes b = outer.get_bytes();
+  const ByteSpan b = outer.get_bytes_view();
   const Digest tag = get_digest(outer);
   if (!outer.exhausted())
     throw CodecError("trailing bytes in SecAggMaskedMessage");
@@ -442,7 +518,7 @@ Bytes SecAggRevealMessage::serialize() const {
   return w.take();
 }
 
-SecAggRevealMessage SecAggRevealMessage::deserialize(const Bytes& payload) {
+SecAggRevealMessage SecAggRevealMessage::deserialize(ByteSpan payload) {
   Reader r(payload);
   SecAggRevealMessage m;
   m.request = r.get_u8() != 0;
@@ -479,7 +555,7 @@ Bytes ShardPullMessage::serialize() const {
   return w.take();
 }
 
-ShardPullMessage ShardPullMessage::deserialize(const Bytes& payload) {
+ShardPullMessage ShardPullMessage::deserialize(ByteSpan payload) {
   Reader r(payload);
   ShardPullMessage m;
   m.merge_round = r.get_u64();
@@ -497,7 +573,7 @@ Bytes ShardModelMessage::serialize() const {
   return w.take();
 }
 
-ShardModelMessage ShardModelMessage::deserialize(const Bytes& payload) {
+ShardModelMessage ShardModelMessage::deserialize(ByteSpan payload) {
   Reader r(payload);
   ShardModelMessage m;
   m.shard_id = r.get_u64();
@@ -517,7 +593,7 @@ Bytes ShardMergePushMessage::serialize() const {
   return w.take();
 }
 
-ShardMergePushMessage ShardMergePushMessage::deserialize(const Bytes& payload) {
+ShardMergePushMessage ShardMergePushMessage::deserialize(ByteSpan payload) {
   Reader r(payload);
   ShardMergePushMessage m;
   m.merge_round = r.get_u64();
@@ -644,65 +720,34 @@ Bytes frame_with_checkin_hint(const Bytes& frame, std::uint32_t hint_ms) {
   if (type != static_cast<std::uint8_t>(MessageType::kParams) &&
       type != static_cast<std::uint8_t>(MessageType::kAck))
     throw CodecError("hints ride Params and Ack frames only");
-  // Slice the payload out of the old frame, append the four little-endian
-  // hint bytes (the optional trailing field both serializers write), and
-  // re-frame: header length and CRC are recomputed by encode_frame.
-  Bytes payload(frame.begin() + static_cast<std::ptrdiff_t>(kFrameHeaderSize),
-                frame.end() - static_cast<std::ptrdiff_t>(kFrameTrailerSize));
-  for (int i = 0; i < 4; ++i)
-    payload.push_back(static_cast<std::uint8_t>(hint_ms >> (8 * i)));
-  return encode_frame(static_cast<MessageType>(type), payload);
+  // Copy the old payload, append the four little-endian hint bytes (the
+  // optional trailing field both serializers write), and re-frame: the
+  // header length and CRC are those of the longer payload.
+  const ByteSpan payload = ByteSpan(frame).subspan(
+      kFrameHeaderSize, frame.size() - kFrameHeaderSize - kFrameTrailerSize);
+  Writer w = begin_frame(static_cast<MessageType>(type),
+                         payload.size() + sizeof(hint_ms));
+  w.put_raw(payload);
+  w.put_u32(hint_ms);
+  return finish_frame(w);
 }
 
 Bytes encode_frame(MessageType type, const Bytes& payload) {
   obs::TimedScope timer(encode_seconds());
-  // Sized once; header, payload and CRC are written in place.
-  const std::size_t crc_off = kFrameHeaderSize + payload.size();
-  Bytes out(crc_off + kFrameTrailerSize);
-  std::copy(std::begin(kMagic), std::end(kMagic), out.begin());
-  out[kFrameTypeOffset] = static_cast<std::uint8_t>(type);
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  for (std::size_t i = 0; i < 4; ++i)
-    out[kFrameLenOffset + i] = static_cast<std::uint8_t>(len >> (8 * i));
-  if (!payload.empty())
-    std::memcpy(out.data() + kFrameHeaderSize, payload.data(), payload.size());
-  // CRC over type + len + payload (everything after the magic).
-  const std::uint32_t crc =
-      crc32(out.data() + kFrameMagicSize, crc_off - kFrameMagicSize);
-  for (std::size_t i = 0; i < 4; ++i)
-    out[crc_off + i] = static_cast<std::uint8_t>(crc >> (8 * i));
-  return out;
+  Writer w = begin_frame(type, payload.size());
+  w.put_raw(payload);
+  return finish_frame(w);
+}
+
+FrameView decode_frame_view(ByteSpan buffer) {
+  obs::TimedScope timer(decode_seconds());
+  return decode_view(buffer);
 }
 
 Frame decode_frame(const Bytes& buffer) {
   obs::TimedScope timer(decode_seconds());
-  if (buffer.size() < kFrameHeaderSize + kFrameTrailerSize)
-    throw CodecError("frame too short");
-  for (int i = 0; i < 4; ++i)
-    if (buffer[static_cast<std::size_t>(i)] != kMagic[i])
-      throw CodecError("bad frame magic");
-
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i)
-    len |= static_cast<std::uint32_t>(buffer[5 + static_cast<std::size_t>(i)]) << (8 * i);
-  if (buffer.size() != kFrameHeaderSize + len + kFrameTrailerSize)
-    throw CodecError("frame length mismatch");
-
-  std::uint32_t stated_crc = 0;
-  const std::size_t crc_off = kFrameHeaderSize + len;
-  for (int i = 0; i < 4; ++i)
-    stated_crc |= static_cast<std::uint32_t>(buffer[crc_off + static_cast<std::size_t>(i)])
-                  << (8 * i);
-  const std::uint32_t actual_crc = crc32(buffer.data() + 4, crc_off - 4);
-  if (stated_crc != actual_crc) throw CodecError("frame crc mismatch");
-
-  Frame f;
-  const std::uint8_t type = buffer[4];
-  if (type < 1 || type > kMaxMessageType) throw CodecError("unknown frame type");
-  f.type = static_cast<MessageType>(type);
-  f.payload.assign(buffer.begin() + kFrameHeaderSize,
-                   buffer.begin() + static_cast<std::ptrdiff_t>(crc_off));
-  return f;
+  const FrameView v = decode_view(buffer);
+  return {v.type, Bytes(v.payload.begin(), v.payload.end())};
 }
 
 }  // namespace crowdml::net

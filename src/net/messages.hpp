@@ -83,7 +83,10 @@ struct CheckoutRequest {
 
   Bytes body() const;  // the authenticated portion
   Bytes serialize() const;
-  static CheckoutRequest deserialize(const Bytes& payload);
+  static CheckoutRequest deserialize(ByteSpan payload);
+  /// The signed body inside an encoded request, as it arrived: equal to
+  /// deserialize(payload).body() for any payload deserialize accepts.
+  static ByteSpan signed_body(ByteSpan payload);
 };
 
 struct ParamsMessage {
@@ -99,7 +102,13 @@ struct ParamsMessage {
   std::uint32_t next_checkin_hint_ms = 0;
 
   Bytes serialize() const;
-  static ParamsMessage deserialize(const Bytes& payload);
+  /// encode_frame(kParams, serialize()), built in one buffer.
+  Bytes to_frame() const;
+  static ParamsMessage deserialize(ByteSpan payload);
+
+ private:
+  std::size_t payload_size() const;
+  void write(Writer& w) const;
 };
 
 struct CheckinMessage {
@@ -117,7 +126,17 @@ struct CheckinMessage {
 
   Bytes body() const;
   Bytes serialize() const;
-  static CheckinMessage deserialize(const Bytes& payload);
+  /// Throws CodecError on anything but the canonical encoding (trailing
+  /// bytes, an explicit default class), so for every payload it accepts
+  /// serialize(deserialize(payload)) == payload.
+  static CheckinMessage deserialize(ByteSpan payload);
+  /// The signed body inside an encoded checkin, as it arrived: equal to
+  /// deserialize(payload).body() for any payload deserialize accepts.
+  static ByteSpan signed_body(ByteSpan payload);
+
+ private:
+  std::size_t body_size() const;
+  void write_body(Writer& w) const;
 };
 
 struct AckMessage {
@@ -134,7 +153,7 @@ struct AckMessage {
   std::uint32_t next_checkin_hint_ms = 0;
 
   Bytes serialize() const;
-  static AckMessage deserialize(const Bytes& payload);
+  static AckMessage deserialize(ByteSpan payload);
 };
 
 /// Replication handshake (follower -> leader), sent once per connection:
@@ -161,7 +180,7 @@ struct ReplHelloMessage {
   std::uint64_t instance_id = 0;
 
   Bytes serialize() const;
-  static ReplHelloMessage deserialize(const Bytes& payload);
+  static ReplHelloMessage deserialize(ByteSpan payload);
 };
 
 /// Full-state catch-up (leader -> follower): one bounded chunk of a
@@ -184,7 +203,7 @@ struct ReplSnapshotMessage {
   bool last_chunk() const { return offset + checkpoint.size() >= total_bytes; }
 
   Bytes serialize() const;
-  static ReplSnapshotMessage deserialize(const Bytes& payload);
+  static ReplSnapshotMessage deserialize(ByteSpan payload);
 };
 
 /// One shipped WAL record: the exact payload bytes the leader logged
@@ -206,7 +225,7 @@ struct ReplAppendMessage {
   std::vector<ReplRecord> records;
 
   Bytes serialize() const;
-  static ReplAppendMessage deserialize(const Bytes& payload);
+  static ReplAppendMessage deserialize(ByteSpan payload);
 };
 
 /// Follower -> leader: "I hold everything through durable_seq on disk",
@@ -217,7 +236,7 @@ struct ReplAckMessage {
   std::uint64_t durable_seq = 0;
 
   Bytes serialize() const;
-  static ReplAckMessage deserialize(const Bytes& payload);
+  static ReplAckMessage deserialize(ByteSpan payload);
 };
 
 /// Leader -> follower lease grant, sent on the replication stream at
@@ -233,7 +252,7 @@ struct ReplHeartbeatMessage {
   std::string leader_addr;  ///< device-facing host:port ("" = unchanged)
 
   Bytes serialize() const;
-  static ReplHeartbeatMessage deserialize(const Bytes& payload);
+  static ReplHeartbeatMessage deserialize(ByteSpan payload);
 };
 
 /// Leader election (follower <-> follower, and candidate -> old leader).
@@ -264,7 +283,7 @@ struct ReplVoteMessage {
   std::string repl_addr;
 
   Bytes serialize() const;
-  static ReplVoteMessage deserialize(const Bytes& payload);
+  static ReplVoteMessage deserialize(ByteSpan payload);
 };
 
 // ---------------------------------------------------------------------
@@ -314,7 +333,7 @@ struct SecAggAssignMessage {
 
   Bytes body() const;  // the authenticated portion (request form)
   Bytes serialize() const;
-  static SecAggAssignMessage deserialize(const Bytes& payload);
+  static SecAggAssignMessage deserialize(ByteSpan payload);
 };
 
 /// Masked checkin (device -> server, type 12; answered with an Ack).
@@ -337,7 +356,7 @@ struct SecAggMaskedMessage {
 
   Bytes body() const;
   Bytes serialize() const;
-  static SecAggMaskedMessage deserialize(const Bytes& payload);
+  static SecAggMaskedMessage deserialize(ByteSpan payload);
 };
 
 /// One revealed pairwise seed: the HMAC-derived PRG seed for the
@@ -369,7 +388,7 @@ struct SecAggRevealMessage {
 
   Bytes body() const;  // the authenticated portion (request form)
   Bytes serialize() const;
-  static SecAggRevealMessage deserialize(const Bytes& payload);
+  static SecAggRevealMessage deserialize(ByteSpan payload);
 };
 
 // ---------------------------------------------------------------------
@@ -390,7 +409,7 @@ struct ShardPullMessage {
   std::uint64_t merge_round = 0;
 
   Bytes serialize() const;
-  static ShardPullMessage deserialize(const Bytes& payload);
+  static ShardPullMessage deserialize(ByteSpan payload);
 };
 
 /// Shard leader -> director (type 15): the shard's model in fixed point
@@ -407,7 +426,7 @@ struct ShardModelMessage {
   std::vector<std::uint64_t> q;   ///< fixed-point parameters
 
   Bytes serialize() const;
-  static ShardModelMessage deserialize(const Bytes& payload);
+  static ShardModelMessage deserialize(ByteSpan payload);
 };
 
 /// Director -> every shard leader (type 16): the count-weighted merged
@@ -421,7 +440,7 @@ struct ShardMergePushMessage {
   std::vector<std::uint64_t> q;      ///< fixed-point merged parameters
 
   Bytes serialize() const;
-  static ShardMergePushMessage deserialize(const Bytes& payload);
+  static ShardMergePushMessage deserialize(ByteSpan payload);
 };
 
 /// Checkin refusal from a read replica: "not leader; leader=<addr>".
@@ -494,9 +513,18 @@ struct Frame {
   Bytes payload;
 };
 
+/// A decoded frame whose payload is a view into the buffer it came from.
+struct FrameView {
+  MessageType type;
+  ByteSpan payload;
+};
+
 /// Decode a complete frame buffer. Throws CodecError on bad magic, length
 /// mismatch, or CRC failure.
 Frame decode_frame(const Bytes& buffer);
+/// decode_frame without copying the payload out of `buffer`, which must
+/// outlive the view.
+FrameView decode_frame_view(ByteSpan buffer);
 
 /// Frame layout constants. The header is [magic][type][payload_len]; any
 /// code that picks fields out of a raw header buffer (e.g. the socket

@@ -1,6 +1,13 @@
 #include "net/sha256.hpp"
 
+#include <algorithm>
 #include <cstring>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#endif
+
+#include "net/sha256_detail.hpp"
 
 namespace crowdml::net {
 
@@ -25,64 +32,169 @@ inline std::uint32_t rotr(std::uint32_t x, int n) {
 
 }  // namespace
 
+namespace detail {
+
+void sha256_blocks_portable(std::uint32_t* state, const std::uint8_t* blocks,
+                            std::size_t nblocks) {
+  for (; nblocks > 0; --nblocks, blocks += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(blocks[4 * i]) << 24) |
+             (static_cast<std::uint32_t>(blocks[4 * i + 1]) << 16) |
+             (static_cast<std::uint32_t>(blocks[4 * i + 2]) << 8) |
+             static_cast<std::uint32_t>(blocks[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t S1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t temp1 = h + S1 + ch + kK[static_cast<std::size_t>(i)] + w[i];
+      const std::uint32_t S0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t temp2 = S0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+
+namespace {
+
+// The SHA-NI round instruction works on the state as two registers,
+// ABEF and CDGH, and does two rounds per call; sha256msg1/msg2 compute
+// the message schedule four words at a time.
+__attribute__((target("sha,sse4.1"))) void blocks_shani(
+    std::uint32_t* state, const std::uint8_t* blocks, std::size_t nblocks) {
+  // Byte shuffle that turns each big-endian message word little-endian.
+  const __m128i kBswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i state1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);           // CDAB
+  state1 = _mm_shuffle_epi32(state1, 0x1B);     // EFGH
+  __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);  // ABEF
+  state1 = _mm_blend_epi16(state1, tmp, 0xF0);  // CDGH
+
+  for (; nblocks > 0; --nblocks, blocks += 64) {
+    const __m128i abef_save = state0;
+    const __m128i cdgh_save = state1;
+    __m128i msg[4];
+    for (int i = 0; i < 4; ++i)
+      msg[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * i)),
+          kBswap);
+    // Sixteen groups of four rounds; group g >= 4 first extends the
+    // schedule: W[4g..4g+3] from the four previous groups' words.
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      if (g >= 4) {
+        __m128i next = _mm_sha256msg1_epu32(msg[g & 3], msg[(g + 1) & 3]);
+        next = _mm_add_epi32(
+            next, _mm_alignr_epi8(msg[(g + 3) & 3], msg[(g + 2) & 3], 4));
+        msg[g & 3] = _mm_sha256msg2_epu32(next, msg[(g + 3) & 3]);
+      }
+      __m128i wk = _mm_add_epi32(
+          msg[g & 3],
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK.data() + 4 * g)));
+      state1 = _mm_sha256rnds2_epu32(state1, state0, wk);
+      wk = _mm_shuffle_epi32(wk, 0x0E);
+      state0 = _mm_sha256rnds2_epu32(state0, state1, wk);
+    }
+    state0 = _mm_add_epi32(state0, abef_save);
+    state1 = _mm_add_epi32(state1, cdgh_save);
+  }
+
+  tmp = _mm_shuffle_epi32(state0, 0x1B);        // FEBA
+  state1 = _mm_shuffle_epi32(state1, 0xB1);     // DCHG
+  state0 = _mm_blend_epi16(tmp, state1, 0xF0);  // DCBA
+  state1 = _mm_alignr_epi8(state1, tmp, 8);     // ABEF
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), state0);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), state1);
+}
+
+}  // namespace
+
+Sha256BlockFn sha256_blocks_shani() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1")
+             ? &blocks_shani
+             : nullptr;
+}
+
+#else
+
+Sha256BlockFn sha256_blocks_shani() { return nullptr; }
+
+#endif
+
+}  // namespace detail
+
+namespace {
+
+/// The kernel Sha256 uses, chosen once per process: SHA-NI when the CPU
+/// has it, else portable.
+detail::Sha256BlockFn block_kernel() {
+  static const detail::Sha256BlockFn fn = [] {
+    const detail::Sha256BlockFn shani = detail::sha256_blocks_shani();
+    return shani ? shani : &detail::sha256_blocks_portable;
+  }();
+  return fn;
+}
+
+}  // namespace
+
 Sha256::Sha256()
     : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
 
-void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t S1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + S1 + ch + kK[static_cast<std::size_t>(i)] + w[i];
-    const std::uint32_t S0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = S0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
-
 void Sha256::update(const std::uint8_t* data, std::size_t len) {
+  if (len == 0) return;
+  const detail::Sha256BlockFn blocks = block_kernel();
   total_bits_ += static_cast<std::uint64_t>(len) * 8;
-  while (len > 0) {
+  if (buffered_ > 0) {
     const std::size_t take = std::min(len, buffer_.size() - buffered_);
     std::memcpy(buffer_.data() + buffered_, data, take);
     buffered_ += take;
     data += take;
     len -= take;
-    if (buffered_ == buffer_.size()) {
-      process_block(buffer_.data());
-      buffered_ = 0;
-    }
+    if (buffered_ < buffer_.size()) return;
+    blocks(state_.data(), buffer_.data(), 1);
+    buffered_ = 0;
+  }
+  // Whole blocks straight from the input; only the tail is buffered.
+  const std::size_t whole = len / buffer_.size();
+  if (whole > 0) {
+    blocks(state_.data(), data, whole);
+    data += whole * buffer_.size();
+    len -= whole * buffer_.size();
+  }
+  if (len > 0) {
+    std::memcpy(buffer_.data(), data, len);
+    buffered_ = len;
   }
 }
 
@@ -95,17 +207,19 @@ void Sha256::update(const std::string& data) {
 }
 
 Digest Sha256::finish() {
+  const detail::Sha256BlockFn blocks = block_kernel();
   const std::uint64_t bits = total_bits_;
-  const std::uint8_t pad = 0x80;
-  update(&pad, 1);
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) update(&zero, 1);
-  std::uint8_t len_bytes[8];
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_.data() + buffered_, 0, buffer_.size() - buffered_);
+    blocks(state_.data(), buffer_.data(), 1);
+    buffered_ = 0;
+  }
+  std::memset(buffer_.data() + buffered_, 0, 56 - buffered_);
   for (int i = 0; i < 8; ++i)
-    len_bytes[i] = static_cast<std::uint8_t>(bits >> (56 - 8 * i));
-  // Bypass update's bit counting for the length field (already captured).
-  std::memcpy(buffer_.data() + buffered_, len_bytes, 8);
-  process_block(buffer_.data());
+    buffer_[static_cast<std::size_t>(56 + i)] =
+        static_cast<std::uint8_t>(bits >> (56 - 8 * i));
+  blocks(state_.data(), buffer_.data(), 1);
 
   Digest out;
   for (int i = 0; i < 8; ++i) {

@@ -180,13 +180,20 @@ void DurableStore::drain_pending_locked() {
 void DurableStore::attach(core::Server& server) {
   if (!recovered_) throw WalError("attach before recover");
   server.set_applied_hook(
-      [this](const net::CheckinMessage& msg, std::uint64_t version) {
+      [this](const net::CheckinMessage& msg, net::ByteSpan payload,
+             std::uint64_t version) {
+        // The received payload is the canonical encoding of msg (see
+        // CheckinMessage::deserialize), so logging it as-is writes the
+        // bytes msg.serialize() would.
+        net::Bytes record = payload.empty()
+                                ? msg.serialize()
+                                : net::Bytes(payload.begin(), payload.end());
         std::lock_guard<std::mutex> lock(pending_mu_);
         if (poisoned_) return false;
         if (group_commit_) {
           // Buffer only; durability happens at commit_group(). The caller
           // is holding this checkin's ack until then.
-          group_buf_.emplace_back(version, msg.serialize());
+          group_buf_.emplace_back(version, std::move(record));
           return true;
         }
         // Queue-then-drain keeps the log contiguous across transient
@@ -195,7 +202,7 @@ void DurableStore::attach(core::Server& server) {
         // a hole that poisons replay. Every record here was applied in
         // memory, so persisting it late is faithful to the state a
         // recovery must rebuild.
-        pending_.emplace_back(version, msg.serialize());
+        pending_.emplace_back(version, std::move(record));
         try {
           drain_pending_locked();
           return true;
@@ -281,11 +288,13 @@ bool DurableStore::commit_buffers_locked() {
     return false;
   }
   if (pending_.empty() && group_buf_.empty()) return true;
+  // The payloads move into the batch and, on failure, back out of it.
   std::vector<WalRecord> batch;
   batch.reserve(pending_.size() + group_buf_.size());
-  for (const auto& [seq, payload] : pending_) batch.push_back({seq, payload});
-  for (const auto& [seq, payload] : group_buf_)
-    batch.push_back({seq, payload});
+  for (auto& [seq, payload] : pending_)
+    batch.push_back({seq, std::move(payload)});
+  for (auto& [seq, payload] : group_buf_)
+    batch.push_back({seq, std::move(payload)});
   const std::size_t group_size = group_buf_.size();
   try {
     wal_.append_batch(batch);
@@ -293,6 +302,9 @@ bool DurableStore::commit_buffers_locked() {
     group_buf_.clear();
     return true;
   } catch (const WalError& e) {
+    std::size_t i = 0;
+    for (auto& rec : pending_) rec.second = std::move(batch[i++].payload);
+    for (auto& rec : group_buf_) rec.second = std::move(batch[i++].payload);
     // Every record of this group gets nacked by the caller (pending_
     // records were nacked when they were first queued), so nothing acked
     // escapes undurable. Records append_batch already wrote stay in the

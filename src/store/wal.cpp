@@ -107,20 +107,16 @@ FsyncPolicy parse_fsync_policy(const std::string& spec, long long* every_n) {
       spec + "'");
 }
 
-net::Bytes encode_wal_record(std::uint64_t seq, const net::Bytes& payload) {
-  net::Writer w;
+net::Bytes encode_wal_record(std::uint64_t seq, net::ByteSpan payload) {
+  net::Writer w(kWalHeaderSize + payload.size() + kWalTrailerSize);
   w.put_u32(kWalMagic);
   w.put_u64(seq);
   w.put_u32(static_cast<std::uint32_t>(payload.size()));
-  net::Bytes out = w.take();
-  out.insert(out.end(), payload.begin(), payload.end());
+  w.put_raw(payload);
   // CRC over seq + len + payload (everything after the magic).
-  const std::uint32_t crc = net::crc32(out.data() + 4, out.size() - 4);
-  net::Writer tail;
-  tail.put_u32(crc);
-  const net::Bytes crc_bytes = tail.take();
-  out.insert(out.end(), crc_bytes.begin(), crc_bytes.end());
-  return out;
+  const net::Bytes& b = w.bytes();
+  w.put_u32(net::crc32(b.data() + 4, b.size() - 4));
+  return w.take();
 }
 
 WalRecord decode_wal_record(const net::Bytes& buf, std::size_t* offset) {

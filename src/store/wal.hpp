@@ -90,7 +90,7 @@ struct WalRecord {
 };
 
 /// Encode one record (exposed for tests and fuzzing).
-net::Bytes encode_wal_record(std::uint64_t seq, const net::Bytes& payload);
+net::Bytes encode_wal_record(std::uint64_t seq, net::ByteSpan payload);
 
 /// Decode the record starting at `buf[*offset]`, advancing `*offset` past
 /// it on success. Throws WalError on truncation, bad magic, an absurd

@@ -115,6 +115,102 @@ TEST(Fuzz, ProtocolServerAlwaysAnswersGarbage) {
   EXPECT_EQ(server.version(), 0u);  // nothing got through
 }
 
+namespace {
+
+/// A dim-500 protocol server (the paper's 10 x 50 model) with one
+/// enrolled device, and a valid signed checkin frame from that device.
+struct Dim500Fixture {
+  static constexpr std::size_t kClasses = 10;
+  static constexpr std::size_t kDim = 500;
+  core::Server server{
+      [] {
+        core::ServerConfig cfg;
+        cfg.param_dim = kDim;
+        cfg.num_classes = kClasses;
+        return cfg;
+      }(),
+      std::make_unique<opt::SgdUpdater>(
+          std::make_unique<opt::ConstantSchedule>(0.1), 100.0),
+      rng::Engine(1)};
+  net::AuthRegistry registry{rng::Engine(2)};
+  core::ProtocolServer protocol{server, registry};
+  net::Bytes frame;
+
+  Dim500Fixture() {
+    const net::DeviceCredentials cred = registry.enroll();
+    rng::Engine eng(5);
+    net::CheckinMessage m;
+    m.device_id = cred.device_id;
+    m.g_hat.resize(kDim);
+    for (double& g : m.g_hat)
+      g = static_cast<double>(eng() % 2001) / 1000.0 - 1.0;
+    m.ns = 10;
+    m.ny_hat.assign(kClasses, 1);
+    m.auth_tag = cred.sign(m.body());
+    frame = net::encode_frame(net::MessageType::kCheckin, m.serialize());
+  }
+
+  /// Handle `request`; true when it was refused (malformed or forged)
+  /// and left the model untouched.
+  bool refused(const net::Bytes& request) {
+    const std::uint64_t before = server.version();
+    const net::Frame resp = net::decode_frame(protocol.handle(request));
+    return resp.type == net::MessageType::kAck &&
+           !net::AckMessage::deserialize(resp.payload).ok &&
+           server.version() == before;
+  }
+};
+
+}  // namespace
+
+TEST(Fuzz, Dim500CheckinTruncatedAtEveryOffsetIsNeverApplied) {
+  Dim500Fixture fx;
+  const net::Bytes payload = net::decode_frame(fx.frame).payload;
+  for (std::size_t len = 0; len < fx.frame.size(); ++len) {
+    const net::Bytes cut(fx.frame.begin(),
+                         fx.frame.begin() + static_cast<std::ptrdiff_t>(len));
+    EXPECT_THROW((void)net::decode_frame_view(cut), net::CodecError) << len;
+    ASSERT_TRUE(fx.refused(cut)) << "frame cut at " << len;
+  }
+  // Truncated payloads in well-formed frames reach the message decoder.
+  for (std::size_t len = 0; len < payload.size(); ++len) {
+    const net::Bytes cut(payload.begin(),
+                         payload.begin() + static_cast<std::ptrdiff_t>(len));
+    EXPECT_THROW((void)net::CheckinMessage::deserialize(cut), net::CodecError)
+        << len;
+    ASSERT_TRUE(
+        fx.refused(net::encode_frame(net::MessageType::kCheckin, cut)))
+        << "payload cut at " << len;
+  }
+  EXPECT_EQ(fx.protocol.auth_failures(), 0);
+  EXPECT_FALSE(fx.refused(fx.frame));  // the intact frame still applies
+}
+
+TEST(Fuzz, Dim500CheckinBitFlipAtEveryByteIsNeverApplied) {
+  Dim500Fixture fx;
+  const net::Bytes payload = net::decode_frame(fx.frame).payload;
+  for (std::size_t at = 0; at < fx.frame.size(); ++at) {
+    net::Bytes flipped = fx.frame;
+    flipped[at] ^= static_cast<std::uint8_t>(1u << (at % 8));
+    ASSERT_TRUE(fx.refused(flipped)) << "frame bit flip at " << at;
+  }
+  // Flips under a recomputed CRC get past framing: each must fail to
+  // parse or fail the tag.
+  const long long before_malformed = fx.protocol.malformed_frames();
+  for (std::size_t at = 0; at < payload.size(); ++at) {
+    net::Bytes flipped = payload;
+    flipped[at] ^= static_cast<std::uint8_t>(1u << (at % 8));
+    ASSERT_TRUE(
+        fx.refused(net::encode_frame(net::MessageType::kCheckin, flipped)))
+        << "payload bit flip at " << at;
+  }
+  EXPECT_EQ(fx.protocol.auth_failures() + fx.protocol.malformed_frames() -
+                before_malformed,
+            static_cast<long long>(payload.size()));
+  EXPECT_GT(fx.protocol.auth_failures(), 0);
+  EXPECT_FALSE(fx.refused(fx.frame));
+}
+
 TEST(Fuzz, SecAggDeserializersNeverCrash) {
   rng::Engine eng(9);
   for (int i = 0; i < 20000; ++i) {

@@ -2,7 +2,11 @@
 // published vectors), messages/framing, auth registry, channels, and TCP.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <thread>
 
 #include "net/auth.hpp"
@@ -11,10 +15,50 @@
 #include "net/codec.hpp"
 #include "net/messages.hpp"
 #include "net/sha256.hpp"
+#include "net/sha256_detail.hpp"
 #include "net/tcp.hpp"
+#include "rng/distributions.hpp"
 
 using namespace crowdml;
 using namespace crowdml::net;
+
+namespace {
+
+Bytes random_bytes(rng::Engine& eng, std::size_t n) {
+  Bytes b(n);
+  for (auto& v : b) v = static_cast<std::uint8_t>(eng());
+  return b;
+}
+
+/// The byte-at-a-time CRC-32 the slice-by-8 kernel must reproduce.
+std::uint32_t crc32_bytewise(const std::uint8_t* data, std::size_t len) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+/// FIPS 180-4 SHA-256 over `data`, with the compression done by `blocks`.
+Digest sha256_with(detail::Sha256BlockFn blocks, const Bytes& data) {
+  std::uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  const std::size_t whole = data.size() / 64;
+  if (whole > 0) blocks(state, data.data(), whole);
+  Bytes tail(data.begin() + static_cast<std::ptrdiff_t>(whole * 64), data.end());
+  tail.push_back(0x80);
+  while (tail.size() % 64 != 56) tail.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(data.size()) * 8;
+  for (int i = 7; i >= 0; --i) tail.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  blocks(state, tail.data(), tail.size() / 64);
+  Digest out;
+  for (std::size_t i = 0; i < 32; ++i)
+    out[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  return out;
+}
+
+}  // namespace
 
 TEST(Codec, PrimitiveRoundTrip) {
   Writer w;
@@ -85,6 +129,39 @@ TEST(Crc32, KnownVector) {
 
 TEST(Crc32, EmptyIsZero) { EXPECT_EQ(crc32(nullptr, 0), 0u); }
 
+TEST(Crc32, SliceBy8MatchesBytewiseAtEveryShortLength) {
+  rng::Engine eng(31);
+  const Bytes data = random_bytes(eng, 300);
+  for (std::size_t len = 0; len <= data.size(); ++len)
+    ASSERT_EQ(crc32(data.data(), len), crc32_bytewise(data.data(), len))
+        << "len " << len;
+}
+
+TEST(Crc32, SliceBy8MatchesBytewiseAtSampledLongLengths) {
+  rng::Engine eng(32);
+  const Bytes data = random_bytes(eng, 64 * 1024);
+  for (std::size_t len : {511u, 512u, 1023u, 4096u, 4156u, 4157u, 9001u,
+                          32768u, 65535u, 65536u})
+    ASSERT_EQ(crc32(data.data(), len), crc32_bytewise(data.data(), len))
+        << "len " << len;
+  for (int i = 0; i < 64; ++i) {
+    const std::size_t len = rng::uniform_index(eng, data.size() + 1);
+    ASSERT_EQ(crc32(data.data(), len), crc32_bytewise(data.data(), len))
+        << "len " << len;
+  }
+}
+
+TEST(Crc32, SliceBy8MatchesBytewiseAtEveryStartOffset) {
+  // Unaligned starts: the kernel's 8-byte loads must not assume alignment.
+  rng::Engine eng(33);
+  const Bytes data = random_bytes(eng, 4200);
+  for (std::size_t off = 0; off < 8; ++off)
+    for (std::size_t len : {0u, 1u, 7u, 8u, 9u, 63u, 64u, 65u, 4156u, 4192u})
+      ASSERT_EQ(crc32(data.data() + off, len),
+                crc32_bytewise(data.data() + off, len))
+          << "offset " << off << " len " << len;
+}
+
 TEST(Sha256, NistVectors) {
   EXPECT_EQ(to_hex(sha256(std::string(""))),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
@@ -102,6 +179,51 @@ TEST(Sha256, MillionAs) {
   for (int i = 0; i < 1000; ++i) h.update(chunk);
   EXPECT_EQ(to_hex(h.finish()),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST(Sha256, PortableKernelMatchesDispatchedHashAtEveryLength) {
+  rng::Engine eng(41);
+  for (std::size_t len = 0; len <= 300; ++len) {
+    const Bytes data = random_bytes(eng, len);
+    ASSERT_EQ(sha256_with(&detail::sha256_blocks_portable, data), sha256(data))
+        << "len " << len;
+  }
+}
+
+TEST(Sha256, ShaNiKernelMatchesPortableAtEveryLength) {
+  const detail::Sha256BlockFn shani = detail::sha256_blocks_shani();
+  if (!shani) GTEST_SKIP() << "this CPU lacks the SHA extensions (cpuid sha)";
+  rng::Engine eng(42);
+  for (std::size_t len = 0; len <= 300; ++len) {
+    const Bytes data = random_bytes(eng, len);
+    ASSERT_EQ(sha256_with(shani, data),
+              sha256_with(&detail::sha256_blocks_portable, data))
+        << "len " << len;
+  }
+  // Multi-block runs straight from an unaligned input, as update() feeds
+  // them, from a non-initial state.
+  const Bytes data = random_bytes(eng, 64 * 66 + 1);
+  std::uint32_t a[8], b[8];
+  for (int i = 0; i < 8; ++i) a[i] = b[i] = static_cast<std::uint32_t>(eng());
+  shani(a, data.data() + 1, 66);
+  detail::sha256_blocks_portable(b, data.data() + 1, 66);
+  EXPECT_EQ(std::memcmp(a, b, sizeof(a)), 0);
+}
+
+TEST(Sha256, UpdateSplitAtEveryPointMatchesOneShot) {
+  rng::Engine eng(43);
+  const Bytes data = random_bytes(eng, 300);
+  const Digest whole = sha256(data);
+  for (std::size_t cut = 0; cut <= data.size(); ++cut) {
+    Sha256 h;
+    h.update(data.data(), cut);
+    h.update(data.data() + cut, data.size() - cut);
+    ASSERT_EQ(h.finish(), whole) << "cut " << cut;
+  }
+  // Byte-at-a-time feeding crosses every buffer boundary.
+  Sha256 h;
+  for (std::uint8_t byte : data) h.update(&byte, 1);
+  EXPECT_EQ(h.finish(), whole);
 }
 
 TEST(HmacSha256, Rfc4231Case1) {
@@ -202,6 +324,56 @@ TEST(Messages, CheckinBodyExcludesTag) {
   EXPECT_EQ(m.body(), body1);  // tag not part of authenticated body
 }
 
+TEST(Messages, CheckinReserializesToTheReceivedBytes) {
+  // The WAL logs a checkin's received payload in place of
+  // msg.serialize(); that is only sound if every payload deserialize
+  // accepts is canonical. NaN payloads and odd floats survive bit for
+  // bit, since the codec moves f64s as raw words.
+  rng::Engine eng(51);
+  const double specials[] = {
+      -0.0, 0.0, std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::bit_cast<double>(std::uint64_t{0x7FF0000000000123}),  // payload NaN
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min() * 12345.0,
+      std::numeric_limits<double>::infinity(), 1e308};
+  for (int i = 0; i < 200; ++i) {
+    CheckinMessage m;
+    m.device_id = eng();
+    m.param_version = eng();
+    m.g_hat.resize(rng::uniform_index(eng, 600));
+    for (double& g : m.g_hat)
+      g = rng::uniform_index(eng, 4) == 0
+              ? specials[rng::uniform_index(eng, std::size(specials))]
+              : std::bit_cast<double>(static_cast<std::uint64_t>(eng()));
+    m.ns = static_cast<std::int64_t>(eng());
+    m.ne_hat = static_cast<std::int64_t>(eng());
+    m.ny_hat.resize(rng::uniform_index(eng, 12));
+    for (auto& y : m.ny_hat) y = static_cast<std::int64_t>(eng());
+    m.device_class = static_cast<std::uint8_t>(i % 3 == 0 ? 0 : 1 + eng() % 255);
+    for (auto& b : m.auth_tag) b = static_cast<std::uint8_t>(eng());
+
+    const Bytes p = m.serialize();
+    const CheckinMessage parsed = CheckinMessage::deserialize(p);
+    ASSERT_EQ(parsed.serialize(), p) << "case " << i;
+    const ByteSpan body = CheckinMessage::signed_body(p);
+    ASSERT_EQ(Bytes(body.begin(), body.end()), parsed.body()) << "case " << i;
+  }
+}
+
+TEST(Messages, CheckoutSignedBodyIsTheReceivedBody) {
+  for (std::uint8_t cls : {std::uint8_t{0}, std::uint8_t{3}}) {
+    CheckoutRequest req;
+    req.device_id = 0x0102030405060708;
+    req.device_class = cls;
+    req.auth_tag[5] = 0x55;
+    const Bytes p = req.serialize();
+    const ByteSpan body = CheckoutRequest::signed_body(p);
+    EXPECT_EQ(Bytes(body.begin(), body.end()),
+              CheckoutRequest::deserialize(p).body());
+  }
+}
+
 TEST(Messages, AckRoundTrip) {
   const AckMessage a{false, "bad gradient"};
   const auto parsed = AckMessage::deserialize(a.serialize());
@@ -215,6 +387,28 @@ TEST(Frames, EncodeDecodeRoundTrip) {
   const Frame decoded = decode_frame(frame);
   EXPECT_EQ(decoded.type, MessageType::kCheckin);
   EXPECT_EQ(decoded.payload, payload);
+}
+
+TEST(Frames, ViewDecodeMatchesCopyingDecode) {
+  const Bytes payload{9, 8, 7, 6, 5};
+  const Bytes frame = encode_frame(MessageType::kAck, payload);
+  const FrameView v = decode_frame_view(frame);
+  EXPECT_EQ(v.type, MessageType::kAck);
+  EXPECT_EQ(v.payload.data(), frame.data() + kFrameHeaderSize);
+  EXPECT_EQ(Bytes(v.payload.begin(), v.payload.end()), decode_frame(frame).payload);
+}
+
+TEST(Frames, ParamsToFrameMatchesEncodeOfSerialize) {
+  ParamsMessage p;
+  p.version = 12;
+  p.w = {1.5, -0.0, 3.25};
+  for (std::uint32_t hint : {0u, 250u}) {
+    p.next_checkin_hint_ms = hint;
+    EXPECT_EQ(p.to_frame(), encode_frame(MessageType::kParams, p.serialize()));
+  }
+  p.accepted = false;
+  p.w.clear();
+  EXPECT_EQ(p.to_frame(), encode_frame(MessageType::kParams, p.serialize()));
 }
 
 TEST(Frames, EmptyPayload) {
@@ -282,6 +476,35 @@ TEST(Auth, RevokedDeviceFails) {
   const Bytes body{1};
   EXPECT_FALSE(reg.verify(cred.device_id, body, cred.sign(body)));
   EXPECT_EQ(reg.enrolled_count(), 0u);
+}
+
+TEST(Auth, ConcurrentVerifiesAllSucceed) {
+  // Verify hashes outside the registry lock; four threads verifying
+  // 4 KB bodies for different devices at once must all pass (and run
+  // clean under ThreadSanitizer) while a fifth enrolls and revokes.
+  AuthRegistry reg(rng::Engine(7));
+  std::vector<DeviceCredentials> creds;
+  for (int i = 0; i < 4; ++i) creds.push_back(reg.enroll());
+  std::atomic<int> ok{0};
+  std::atomic<bool> stop{false};
+  std::thread churn([&] {
+    while (!stop) reg.revoke(reg.enroll().device_id);
+  });
+  std::vector<std::thread> verifiers;
+  for (int t = 0; t < 4; ++t) {
+    verifiers.emplace_back([&, t] {
+      rng::Engine eng(100 + static_cast<std::uint64_t>(t));
+      const DeviceCredentials& cred = creds[static_cast<std::size_t>(t)];
+      for (int i = 0; i < 200; ++i) {
+        const Bytes body = random_bytes(eng, 4120);
+        if (reg.verify(cred.device_id, ByteSpan(body), cred.sign(body))) ++ok;
+      }
+    });
+  }
+  for (auto& th : verifiers) th.join();
+  stop = true;
+  churn.join();
+  EXPECT_EQ(ok.load(), 4 * 200);
 }
 
 TEST(Auth, DistinctSecretsPerDevice) {
